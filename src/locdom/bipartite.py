@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from typing import Iterator
 
 from .associated import build_associated, label_multiplicity
@@ -24,7 +24,6 @@ from .graphs import (
     bipartition,
     build_graph,
     complement,
-    is_connected,
     twin_pairs,
 )
 from .ld import ORACLE_CAP, is_ld_set, lambda_bounded, lambda_bruteforce, ld_codes
@@ -208,23 +207,67 @@ def graph_from_traces(r: int, traces: tuple[int, ...]) -> Graph:
     return build_graph(r + len(traces), edges)
 
 
+def _is_canonical_prefix(tables: list[list[int]], prefix: list[int]) -> bool:
+    """True when no relabeling of U sends the prefix to a lex-smaller sorted tuple."""
+    for table in tables:
+        if sorted([table[m] for m in prefix]) < prefix:
+            return False
+    return True
+
+
+def _traces_connected(full: int, traces: list[int]) -> bool:
+    """Whether the bipartite graph with these (nonempty) s-side traces is connected.
+
+    Every s-side vertex hangs off U, so the graph is connected exactly when
+    the traces, merged along shared members, reach all of U.
+    """
+    reach = traces[0]
+    while True:
+        grown = reach
+        for m in traces:
+            if m & grown:
+                grown |= m
+        if grown == reach:
+            return reach == full
+        reach = grown
+
+
 def connected_bipartite_graphs(r: int, s: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
     """All connected bipartite graphs with stable sides r < s, one per isomorphism class.
 
     With the smaller side fixed, such a graph is determined by the multiset of
     s-side neighborhoods (nonempty subsets of U); isomorphism is exactly
     relabeling U plus permuting the multiset, so canonical multisets enumerate
-    the class exactly.  Yields (canonical trace multiset, graph) pairs in
-    canonical order.
+    the class exactly.
+
+    The multisets come from orderly generation (Read 1978; McKay 1998): a
+    sorted trace tuple grows one mask at a time, never below its last mask,
+    and a prefix is dropped as soon as some relabeling of U sends it to a
+    lex-smaller sorted tuple.  That is sound because the first j entries of
+    sorted(pi T) are elementwise at most sorted(pi T[:j]), so a beaten prefix
+    has only beaten completions.  The depth-first walk over ascending masks
+    visits multisets in ``combinations_with_replacement`` order, so the
+    (canonical trace multiset, graph) pairs come in canonical order.
+    Connectivity is read off the masks, so only connected graphs are built.
     """
     if not r < s:
         raise ValueError(f"census enumeration requires r < s, got ({r}, {s})")
-    for traces in combinations_with_replacement(range(1, 1 << r), s):
-        if canonical_traces(r, traces) != traces:
-            continue
-        g = graph_from_traces(r, traces)
-        if is_connected(g):
-            yield traces, g
+    tables = _perm_tables(r)[1:]  # the first table is the identity
+    full = (1 << r) - 1
+    prefix: list[int] = []
+
+    def extend(lo: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
+        for m in range(lo, full + 1):
+            prefix.append(m)
+            if _is_canonical_prefix(tables, prefix):
+                if len(prefix) < s:
+                    yield from extend(m)
+                elif _traces_connected(full, prefix):
+                    traces = tuple(prefix)
+                    yield traces, graph_from_traces(r, traces)
+            prefix.pop()
+
+    yield from extend(1)
 
 
 @dataclass(frozen=True)
@@ -232,6 +275,7 @@ class CensusEntry:
     r: int
     s: int
     traces: tuple[int, ...]
+    graph: Graph
     report: ClassificationReport
     equivalence_ok: bool
     twin_form_ok: bool
@@ -246,9 +290,9 @@ def census_pairs(max_n: int, min_r: int = 3) -> list[tuple[int, int]]:
     return [(r, s) for r in range(min_r, max_n) for s in range(r + 1, max_n - r + 1)]
 
 
-def check_census_graph(r: int, s: int, traces: tuple[int, ...]) -> CensusEntry:
-    """Verify the characterization and its corollaries on one census graph."""
-    g = graph_from_traces(r, traces)
+def check_census_graph(r: int, s: int, traces: tuple[int, ...], g: Graph) -> CensusEntry:
+    """Verify the characterization and its corollaries on census graph ``g``,
+    the graph of ``traces``."""
     report = classify(g)
     conds = report.conditions
     plus_one = report.relation == 1
@@ -256,7 +300,7 @@ def check_census_graph(r: int, s: int, traces: tuple[int, ...]) -> CensusEntry:
     twin_form_ok = conds.c3 == conds.c3_twin_form
     cor16_ok = corollary16_audit(g) if plus_one else True
     window_ok = feasibility_window(r, s) if plus_one else True
-    return CensusEntry(r, s, traces, report, equivalence_ok, twin_form_ok,
+    return CensusEntry(r, s, traces, g, report, equivalence_ok, twin_form_ok,
                        cor16_ok, window_ok)
 
 
@@ -264,12 +308,17 @@ def run_census(max_n: int, jobs: int = 1) -> list[CensusEntry]:
     """Check every connected bipartite graph with 3 <= r < s and order <= max_n.
 
     Work may be spread over processes; entries always come back in canonical
-    (r, s, trace multiset) order regardless of job count.
+    (r, s, trace multiset) order regardless of job count.  Orders above
+    ``ORACLE_CAP`` are refused before anything is enumerated: the exhaustive
+    solver cannot give exact values there.
     """
+    if max_n > ORACLE_CAP:
+        raise ValueError(f"census order {max_n} exceeds the exact solver's cap "
+                         f"of {ORACLE_CAP} vertices")
     work = [
-        (r, s, traces)
+        (r, s, traces, g)
         for r, s in census_pairs(max_n)
-        for traces, _ in connected_bipartite_graphs(r, s)
+        for traces, g in connected_bipartite_graphs(r, s)
     ]
     if jobs > 1:
         import multiprocessing as mp

@@ -16,7 +16,7 @@ import time
 from . import suites
 from .associated import build_associated, cactus_stats, component_trace_check, \
     label_multiplicity, label_subgraph
-from .bipartite import ClassificationReport, classify, graph_from_traces, run_census
+from .bipartite import ClassificationReport, classify, run_census
 from .families import FamilySpec, generate
 from .graphio import export_dot, parse_documents, to_edge_list, to_graph6
 from .graphs import Graph, VertexSet
@@ -36,11 +36,17 @@ def _load_graphs(path: str) -> list[Graph]:
     return [doc.graph for doc in parse_documents(_read_text(path))]
 
 
+def _write_json(obj, fh) -> None:
+    # json.dump streams the encoder's chunks; json.dumps would hold them all
+    # at once, which for a census report is the command's peak memory.
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
+
+
 def _emit(obj, single: bool) -> None:
     if single and isinstance(obj, list) and len(obj) == 1:
         obj = obj[0]
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(obj, sys.stdout)
 
 
 def _vs(v: VertexSet | None):
@@ -151,7 +157,7 @@ def cmd_census(args) -> int:
     for e in entries:
         rel = e.report.relation
         by_relation[str(rel)] += 1
-        row = {"key": to_graph6(graph_from_traces(e.r, e.traces))}
+        row = {"key": to_graph6(e.graph)}
         row.update(_classify_json(e.report))
         row["ok"] = e.ok()
         rows.append(row)
@@ -168,12 +174,11 @@ def cmd_census(args) -> int:
         },
         "timing": round(time.monotonic() - start, 3) if args.timing else None,
     }
-    text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            _write_json(report, fh)
     else:
-        sys.stdout.write(text)
+        _write_json(report, sys.stdout)
     if args.csv:
         cols = ["key", "r", "s", "lambda", "lambda_bar", "relation",
                 "c1", "c2", "c3", "c3_twin_form", "predicted_plus_one", "ok"]

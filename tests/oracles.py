@@ -6,7 +6,7 @@ networkx), deliberately avoiding the bitmask/pruning code paths under test.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import networkx as nx
 
@@ -57,6 +57,28 @@ def naive_associated_edges(n: int, edges, s: set[int]) -> set[tuple[int, int, in
         diff = (adj[x] & s) ^ (adj[y] & s)
         if len(diff) == 1:
             out.add((x, y, next(iter(diff))))
+    return out
+
+
+def filtered_census_traces(r: int, s: int) -> list[tuple[int, ...]]:
+    """Census trace multisets by generate-then-filter, in generation order.
+
+    Every multiset of s nonempty subsets of U = {0..r-1} (as bitmasks) from
+    ``combinations_with_replacement``, kept when no relabeling of U sorts it
+    lex-smaller and the bipartite graph it describes is connected.
+    """
+    masks = range(1, 1 << r)
+    images = [{m: sum(1 << perm[b] for b in range(r) if m >> b & 1) for m in masks}
+              for perm in permutations(range(r))]
+    out = []
+    for traces in combinations_with_replacement(masks, s):
+        if any(tuple(sorted(img[m] for m in traces)) < traces for img in images):
+            continue
+        G = nx.Graph()
+        G.add_nodes_from(range(r + s))
+        G.add_edges_from((u, r + i) for i, m in enumerate(traces) for u in range(r) if m >> u & 1)
+        if nx.is_connected(G):
+            out.append(traces)
     return out
 
 

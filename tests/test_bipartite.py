@@ -4,6 +4,7 @@ import pytest
 
 from locdom.bipartite import (
     canonical_traces,
+    census_pairs,
     check_census_graph,
     classify,
     condition_triple,
@@ -18,7 +19,7 @@ from locdom.families import bistar, complete_bipartite, cycle, extremal, path
 from locdom.graphs import VertexSet, bipartition, build_graph, complement
 from locdom.ld import lambda_bruteforce
 
-from oracles import naive_lambda
+from oracles import filtered_census_traces, naive_lambda
 
 
 def test_condition_triple_extremal_3_6():
@@ -146,10 +147,21 @@ def test_census_generator_small_counts():
         assert {t for t, _ in ours} == seen
 
 
+def test_orderly_enumeration_matches_filter_oracle():
+    """The pruned enumerator yields exactly the generate-then-filter multisets,
+    in the same order, for every census side pair up to order 10."""
+    for r, s in census_pairs(10):
+        ours = list(connected_bipartite_graphs(r, s))
+        assert [t for t, _ in ours] == filtered_census_traces(r, s), (r, s)
+        assert all(g == graph_from_traces(r, t) for t, g in ours)
+
+
 def test_census_entry_checks_pass_on_known_graphs():
-    e = check_census_graph(3, 6, canonical_traces(3, (7, 6, 5, 3, 4, 1)))
+    t = canonical_traces(3, (7, 6, 5, 3, 4, 1))
+    e = check_census_graph(3, 6, t, graph_from_traces(3, t))
     assert e.ok() and e.report.relation == 1
-    e2 = check_census_graph(3, 4, canonical_traces(3, (7, 7, 7, 7)))
+    t2 = canonical_traces(3, (7, 7, 7, 7))
+    e2 = check_census_graph(3, 4, t2, graph_from_traces(3, t2))
     assert e2.ok() and e2.report.relation <= 0
 
 

@@ -122,6 +122,13 @@ def test_census_byte_identical_reruns(tmp_path, capsys):
     assert da["entries"] == dc["entries"] and da["summary"] == dc["summary"]
 
 
+def test_census_over_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "census", "--max-n", "21")
+    assert code == 2 and out == ""
+    assert err.startswith("locdom: error:") and "cap of 20" in err
+    assert "Traceback" not in err
+
+
 def test_verify_command_parity(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "parity", "--trials", "25")
     assert code == 0
