@@ -10,6 +10,7 @@ cactus-shaped objects driving the bipartite lower bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graphs import Graph, VertexSet
 from .ld import is_distinguishing
@@ -107,7 +108,9 @@ def label_multiplicity(ag: AssociatedGraph) -> dict[int, int]:
     return counts
 
 
-def _components_of(vertices: tuple[int, ...], edges) -> tuple[VertexSet, ...]:
+def _components_of(vertices: Iterable[int], edges) -> tuple[VertexSet, ...]:
+    """Connected components of the (x, y, label) edges over ``vertices``,
+    ordered by smallest member."""
     parent = {v: v for v in vertices}
 
     def find(v):

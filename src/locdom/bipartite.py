@@ -99,29 +99,27 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
 def classify(g: Graph, cap: int = ORACLE_CAP) -> ClassificationReport:
     """Full comparison of a connected bipartite graph against its complement.
 
-    Exact values come from the exhaustive solver up to ``cap`` vertices; above
-    that the bounded search tries to pin both values at r+1, and the report is
-    marked partial when it cannot.
+    Both values are exact up to ``cap`` vertices.  Above it the search only
+    asks for LD-sets of size at most r+1, and the report is marked partial
+    when either graph has none.
     """
     bp = bipartition(g)
     if bp is None:
         raise ValueError("graph is not bipartite")
     conds = condition_triple(g, bp)
     predicted = 3 <= bp.r < bp.s and conds.all_hold()
-    gbar = complement(g)
-    if g.n <= cap:
-        rep_g = lambda_bruteforce(g, cap=cap)
-        rep_gb = lambda_bruteforce(gbar, cap=cap)
-        lam_g, wit_g = rep_g.lam, rep_g.witness
-        lam_gb, wit_gb = rep_gb.lam, rep_gb.witness
-    else:
-        found_g = lambda_bounded(g, bp.r + 1)
-        found_gb = lambda_bounded(gbar, bp.r + 1)
-        if not (found_g.found and found_gb.found):
-            return ClassificationReport(bp.r, bp.s, None, None, None, conds,
-                                        predicted, None, None, partial=True)
-        lam_g, wit_g = found_g.size, found_g.witness
-        lam_gb, wit_gb = found_gb.size, found_gb.witness
+    sols = []
+    for h in (g, complement(g)):
+        if g.n <= cap:
+            rep = lambda_bruteforce(h, cap=cap)
+            sols.append((rep.lam, rep.witness))
+        else:
+            res = lambda_bounded(h, bp.r + 1)
+            if not res.found:
+                return ClassificationReport(bp.r, bp.s, None, None, None, conds,
+                                            predicted, None, None, partial=True)
+            sols.append((res.size, res.witness))
+    (lam_g, wit_g), (lam_gb, wit_gb) = sols
     return ClassificationReport(bp.r, bp.s, lam_g, lam_gb, lam_gb - lam_g, conds,
                                 predicted, wit_g, wit_gb)
 
@@ -309,8 +307,8 @@ def run_census(max_n: int, jobs: int = 1) -> list[CensusEntry]:
 
     Work may be spread over processes; entries always come back in canonical
     (r, s, trace multiset) order regardless of job count.  Orders above
-    ``ORACLE_CAP`` are refused before anything is enumerated: the exhaustive
-    solver cannot give exact values there.
+    ``ORACLE_CAP`` are refused before anything is enumerated: classify gives
+    exact values only up to that order.
     """
     if max_n > ORACLE_CAP:
         raise ValueError(f"census order {max_n} exceeds the exact solver's cap "

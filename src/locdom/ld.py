@@ -2,15 +2,19 @@
 
 A set S is dominating when every vertex outside S has a neighbor in S, and
 distinguishing when the traces N(v) & S are pairwise distinct over v outside
-S.  An LD-set is both; the minimum LD-set size of a graph is computed here
-either by a capped exhaustive scan (:func:`lambda_bruteforce`) or by a
-size-bounded pruned search (:func:`lambda_bounded`) for larger instances.
+S.  An LD-set is both.  Every minimum here (:func:`lambda_bruteforce`,
+:func:`ld_codes`, :func:`lambda_bounded`) comes from one exact search: each
+connected component is solved on its own, sizes are tried upward from
+Slater's lower bound, and an include-first walk over the vertices meets
+LD-sets in lexicographic order.  The walk prunes with precomputed *seal*
+lists: a set is an LD-set exactly when it meets N[u] for every vertex u and
+{u, v} plus the separators of u and v for every pair, and each such mask is
+listed under its highest vertex, where the walk has decided all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 from .graphs import Graph, VertexSet, connected_components, induced_subgraph
@@ -22,9 +26,9 @@ ORACLE_CAP = 20
 class LDReport:
     """Result of an exact minimum LD-set computation.
 
-    ``lam`` is the minimum LD-set size, ``witness`` the first minimum LD-set
-    in (cardinality, lexicographic) scan order, and ``all_codes`` every
-    minimum LD-set when enumeration was requested.
+    ``lam`` is the minimum LD-set size, ``witness`` the lexicographically
+    first minimum LD-set, and ``all_codes`` every minimum LD-set when
+    enumeration was requested.
     """
 
     lam: int
@@ -99,66 +103,24 @@ def _is_ld_mask(adj_bits: list[int], full: int, smask: int) -> bool:
     return True
 
 
-def _scan_component(g: Graph, enumerate_all: bool) -> tuple[int, int, list[int] | None]:
-    """Exhaustive scan of one graph: (lam, witness mask, all code masks or None)."""
-    adj_bits = [row.bits for row in g.adj]
-    full = (1 << g.n) - 1
-    for k in range(g.n + 1):
-        first = None
-        codes = [] if enumerate_all else None
-        for comb in combinations(range(g.n), k):
-            m = 0
-            for c in comb:
-                m |= 1 << c
-            if _is_ld_mask(adj_bits, full, m):
-                if first is None:
-                    first = m
-                    if not enumerate_all:
-                        return k, first, None
-                codes.append(m)
-        if first is not None:
-            return k, first, codes
-    raise AssertionError("V itself is always an LD-set")  # pragma: no cover
-
-
 def lambda_bruteforce(g: Graph, enumerate_all: bool = False, cap: int = ORACLE_CAP) -> LDReport:
-    """Exact minimum LD-set size by scanning subsets in (size, lex) order.
+    """Exact minimum LD-set size, with the lexicographically first minimum LD-set.
 
-    The witness is the first LD-set encountered; with ``enumerate_all`` every
-    minimum LD-set is collected.  Disconnected graphs are solved per component
-    (minimum LD-sets of a disconnected graph are exactly the unions of
-    per-component minimum LD-sets), which cannot change any result.
-    Refuses graphs with more than ``cap`` vertices; use :func:`lambda_bounded`
-    for those.
+    With ``enumerate_all`` every minimum LD-set is collected, in
+    lexicographic order.  Refuses graphs with more than ``cap`` vertices;
+    :func:`lambda_bounded` answers for those.
     """
     if g.n > cap:
         raise ValueError(
-            f"graph order {g.n} exceeds the oracle cap {cap}; use lambda_bounded instead"
+            f"graph order {g.n} exceeds the oracle cap {cap}; use lambda_bounded instead "
+            f"(on the command line: locdom lambda --bounded K)"
         )
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        lam, wit, codes = _scan_component(g, enumerate_all)
-        return LDReport(
-            lam,
-            VertexSet(wit),
-            None if codes is None else tuple(VertexSet(c) for c in sorted_codes(codes)),
-        )
-    total = 0
-    wit_mask = 0
-    code_masks = [0]
-    for comp in comps:
-        sub, old = induced_subgraph(g, comp)
-        lam, wit, codes = _scan_component(sub, enumerate_all)
-        total += lam
-        wit_mask |= _unmap(wit, old)
-        if enumerate_all:
-            code_masks = [
-                prev | _unmap(c, old) for prev in code_masks for c in codes
-            ]
+    lam, codes = _solve(g, g.n, enumerate_all)
+    codes = sorted_codes(codes)
     return LDReport(
-        total,
-        VertexSet(wit_mask),
-        tuple(VertexSet(c) for c in sorted_codes(code_masks)) if enumerate_all else None,
+        lam,
+        VertexSet(codes[0]),
+        tuple(VertexSet(c) for c in codes) if enumerate_all else None,
     )
 
 
@@ -193,61 +155,99 @@ def ld_codes(g: Graph, cap: int = ORACLE_CAP) -> list[VertexSet]:
 
 
 def lambda_bounded(g: Graph, kmax: int) -> BoundedResult:
-    """Decide whether an LD-set of size <= kmax exists, scanning sizes upward.
+    """Decide whether an LD-set of size <= kmax exists.
 
-    The search walks the inclusion/exclusion tree in lexicographic candidate
-    order, so the returned witness is identical to the one
-    :func:`lambda_bruteforce` would report.  A branch is abandoned when two
-    vertices fixed outside the set carry equal traces that no remaining
-    candidate can separate, or when a fixed-outside vertex can no longer be
-    dominated.
+    When one does, size and witness are those :func:`lambda_bruteforce`
+    reports: the same search, without an order cap, stopped above kmax.
     """
     if not (0 <= kmax <= g.n):
         raise ValueError(f"kmax must be in [0, {g.n}], got {kmax}")
+    got = _solve(g, kmax, False)
+    if got is None:
+        return BoundedResult(False, None, None)
+    return BoundedResult(True, got[0], VertexSet(got[1][0]))
+
+
+def _slater(n: int) -> int:
+    """Least k with n <= k + 2^k - 1, a lower bound on lambda (Slater 1988):
+    the n - k vertices outside an LD-set carry distinct nonempty traces."""
+    k = 0
+    while k + (1 << k) - 1 < n:
+        k += 1
+    return k
+
+
+def _solve(g: Graph, kmax: int, collect: bool) -> tuple[int, list[int]] | None:
+    """(lambda, minimum LD-set masks) when lambda <= kmax, else None.
+
+    The masks are every minimum LD-set when ``collect`` is set, else only the
+    lexicographically first.  Minimum LD-sets of a disconnected graph are the
+    unions of per-component ones, and the first union is the union of the
+    first ones, so components are solved one by one, sharing the budget left
+    above their Slater bounds.
+    """
+    comps = connected_components(g)
+    parts = [(g, None)] if len(comps) <= 1 else [induced_subgraph(g, c) for c in comps]
+    spare = kmax - sum(_slater(sub.n) for sub, _ in parts)
+    lam = 0
+    codes = [0]
+    for sub, old in parts:
+        floor = _slater(sub.n)
+        got = _solve_connected(sub, floor, floor + spare, collect)
+        if got is None:
+            return None
+        k, hits = got
+        spare -= k - floor
+        lam += k
+        if old is not None:
+            hits = [_unmap(h, old) for h in hits]
+        codes = [c | h for c in codes for h in hits]
+    return lam, codes
+
+
+def _solve_connected(g: Graph, kmin: int, kmax: int,
+                     collect: bool) -> tuple[int, list[int]] | None:
+    """The least size k in [kmin, kmax] with an LD-set, and its LD-set masks.
+
+    For each k an include-first walk decides vertices 0, 1, ... in turn, so
+    LD-sets are met in lexicographic order.  ``seals[i]`` lists the masks
+    whose highest vertex is i: N[u] for each vertex u, and {u, v} plus the
+    separators (N(u) ^ N(v)) - {u, v} for each pair u < v.  A set is an
+    LD-set exactly when it meets every one.  Including i meets all of
+    ``seals[i]``; excluding i decides their last vertex, so a seal the chosen
+    set misses there ends the branch.  A walk that reaches i == n has passed
+    every seal.
+    """
     n = g.n
     adj_bits = [row.bits for row in g.adj]
     full = (1 << n) - 1
-    for k in range(kmax + 1):
-        wit = _search_size(n, adj_bits, full, k)
-        if wit is not None:
-            return BoundedResult(True, k, VertexSet(wit))
-    return BoundedResult(False, None, None)
+    seals: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        closed = adj_bits[u] | 1 << u
+        seals[closed.bit_length() - 1].append(closed)
+        for v in range(u + 1, n):
+            pair = (adj_bits[u] ^ adj_bits[v]) | 1 << u | 1 << v
+            seals[pair.bit_length() - 1].append(pair)
+    hits: list[int] = []
 
-
-def _search_size(n: int, adj_bits: list[int], full: int, k: int) -> int | None:
-    if k == 0:
-        return 0 if _is_ld_mask(adj_bits, full, 0) else None
-
-    # suffix masks: rem[i] = vertices >= i, the candidates still undecided
-    rem = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        rem[i] = rem[i + 1] | (1 << i)
-
-    def dfs(i: int, chosen: int, size: int, outside: list[int]) -> int | None:
+    def walk(i: int, chosen: int, size: int) -> bool:
+        """Search below a branch; True once the first hit ends the search."""
         if size == k:
-            return chosen if _is_ld_mask(adj_bits, full, chosen) else None
+            if i == n or _is_ld_mask(adj_bits, full, chosen):
+                hits.append(chosen)
+                return not collect
+            return False
         if n - i < k - size:
-            return None
-        bit = 1 << i
-        # include i (first, to keep lexicographic witness order)
-        got = dfs(i + 1, chosen | bit, size + 1, outside)
-        if got is not None:
-            return got
-        # exclude i: vertex i is now fixed outside the set
-        later = rem[i + 1]
-        ai = adj_bits[i]
-        ti = ai & chosen
-        if ti == 0 and ai & later == 0:
-            return None  # i can never be dominated on this branch
-        # u and i are both fixed outside, so only a later candidate adjacent to
-        # exactly one of them can still separate their traces
-        for u in outside:
-            au = adj_bits[u]
-            if au & chosen == ti and (au ^ ai) & later == 0:
-                return None
-        outside.append(i)
-        got = dfs(i + 1, chosen, size, outside)
-        outside.pop()
-        return got
+            return False
+        if walk(i + 1, chosen | 1 << i, size + 1):
+            return True
+        for seal in seals[i]:
+            if not seal & chosen:
+                return False
+        return walk(i + 1, chosen, size)
 
-    return dfs(0, 0, 0, [])
+    for k in range(kmin, kmax + 1):
+        walk(0, 0, 0)
+        if hits:
+            return k, hits
+    return None

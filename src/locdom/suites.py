@@ -11,6 +11,7 @@ import random
 
 from .associated import (
     AssociatedGraph,
+    _components_of,
     build_associated,
     cactus_stats,
     component_trace_check,
@@ -195,24 +196,6 @@ def _two_per_label_instance(rng: random.Random, max_n: int):
         return ag, chosen, edge_induced_subgraph(ag, picked)
 
 
-def _cc_of(vertices: set[int], edges: list[tuple[int, int]]) -> int:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    cc = len(vertices)
-    for x, y in edges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-            cc -= 1
-    return cc
-
-
 def cactus_suite(seed: int = 2024, trials: int = 500,
                  max_n: int = 14) -> tuple[int, list[str]]:
     """Cactus structure and order bounds of two-edges-per-label subgraphs.
@@ -236,11 +219,11 @@ def cactus_suite(seed: int = 2024, trials: int = 500,
             bad.append(f"{tag}: order bound |V| >= 3/2 r' + 1 fails")
         # deletion chain: associated graph -> label subgraph -> random erosions
         chain = [
-            (set(ag.vertices), [(x, y) for x, y, _ in ag.edges]),
-            (set(ag.vertices), [(x, y) for x, y, _ in sub.edges]),
-            (verts, [(x, y) for x, y, _ in sub.edges]),
+            (ag.vertices, ag.edges),
+            (ag.vertices, sub.edges),
+            (verts, sub.edges),
         ]
-        cur_v, cur_e = set(verts), [(x, y) for x, y, _ in sub.edges]
+        cur_v, cur_e = set(verts), list(sub.edges)
         while cur_e or len(cur_v) > 1:
             if cur_e and rng.random() < 0.5:
                 cur_e = cur_e[:]
@@ -248,10 +231,11 @@ def cactus_suite(seed: int = 2024, trials: int = 500,
             elif cur_v:
                 drop = rng.choice(sorted(cur_v))
                 cur_v = cur_v - {drop}
-                cur_e = [(x, y) for x, y in cur_e if drop not in (x, y)]
+                cur_e = [e for e in cur_e if drop not in (e[0], e[1])]
             chain.append((cur_v, cur_e))
         for (v1, e1), (v2, e2) in zip(chain, chain[1:]):
-            if len(v1) - _cc_of(v1, e1) < len(v2) - _cc_of(v2, e2):
+            if (len(v1) - len(_components_of(v1, e1))
+                    < len(v2) - len(_components_of(v2, e2))):
                 bad.append(f"{tag}: |V| - cc increased along a deletion chain")
                 break
     return trials, bad

@@ -64,8 +64,13 @@ def test_c2_complement_gap_exhaustive_n7():
 
 def test_c3_characterization_census():
     start = time.monotonic()
-    entries = run_census(9)
-    assert entries, "census must not be empty"
+    entries = run_census(10)
+    assert len(entries) == 2937
+    counts = {}
+    for e in entries:
+        counts[e.r, e.s] = counts.get((e.r, e.s), 0) + 1
+    assert counts == {(3, 4): 34, (3, 5): 76, (3, 6): 155, (3, 7): 290,
+                      (4, 5): 558, (4, 6): 1824}
     bad_equiv = [e for e in entries if not e.equivalence_ok]
     bad_twin = [e for e in entries if not e.twin_form_ok]
     bad_cor16 = [e for e in entries if not e.cor16_ok]
@@ -76,8 +81,8 @@ def test_c3_characterization_census():
     assert bad_window == [], bad_window[:3]
     plus = [e for e in entries if e.report.relation == 1]
     assert plus, "the census must contain gain witnesses"
-    assert all((e.r, e.s) == (3, 6) for e in plus)
-    report(f"3 census of {len(entries)} bipartite graphs n<=9", start)
+    assert all(feasibility_window(e.r, e.s) for e in plus)
+    report(f"3 census of {len(entries)} bipartite graphs n<=10", start)
 
 
 def test_c4_extremal_construction():

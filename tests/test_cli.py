@@ -129,6 +129,16 @@ def test_census_over_cap_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_lambda_over_cap_names_the_bounded_option(tmp_path, capsys):
+    f = tmp_path / "p21.g6"
+    f.write_text(to_graph6(path(21)) + "\n")
+    code, out, err = run(capsys, "lambda", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("locdom: error:") and "locdom lambda --bounded K" in err
+    code, out, _ = run(capsys, "lambda", str(f), "--bounded", "9")
+    assert code == 0 and json.loads(out)["size"] == 9
+
+
 def test_verify_command_parity(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "parity", "--trials", "25")
     assert code == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from locdom.bipartite import census_pairs, connected_bipartite_graphs
 from locdom.families import complete_bipartite, cycle, path, star
 from locdom.graphs import VertexSet, build_graph, complement, connected_components
 from locdom.ld import (
@@ -116,18 +117,47 @@ def test_lambda_matches_naive_oracle_including_disconnected():
 
 
 def test_lambda_bounded_agrees_with_bruteforce():
+    """Found, size and witness at kmax = lambda-1, lambda, lambda+1 against the naive scan."""
     rng = random.Random(41)
     for _ in range(150):
         n = rng.randint(1, 9)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-        rep = lambda_bruteforce(g)
-        for kmax in (max(0, rep.lam - 1), rep.lam, min(n, rep.lam + 1)):
+        lam, wit = naive_lambda(n, list(g.edges()))
+        for kmax in (max(0, lam - 1), lam, min(n, lam + 1)):
             res = lambda_bounded(g, kmax)
-            if kmax >= rep.lam:
-                assert res.found and res.size == rep.lam
-                assert res.witness == rep.witness
+            if kmax >= lam:
+                assert res.found and res.size == lam
+                assert res.witness.members() == wit
             else:
-                assert not res.found
+                assert res == (False, None, None)
+
+
+def test_solver_matches_naive_oracle_on_census_graphs():
+    """Every census graph with n <= 8 and its complement: lambda, witness and all codes."""
+    checked = 0
+    for r, s in census_pairs(8):
+        for _, g in connected_bipartite_graphs(r, s):
+            for h in (g, complement(g)):
+                edges = list(h.edges())
+                lam, wit = naive_lambda(h.n, edges)
+                rep = lambda_bruteforce(h)
+                assert (rep.lam, rep.witness.members()) == (lam, wit)
+                assert lambda_bounded(h, lam) == (True, lam, rep.witness)
+                assert not lambda_bounded(h, lam - 1).found
+                assert [c.members() for c in ld_codes(h)] == naive_codes(h.n, edges)
+                checked += 1
+    assert checked == 220
+
+
+@pytest.mark.parametrize("family", [path, cycle])
+def test_lambda_bounded_on_long_paths_and_cycles(family):
+    """Above the oracle cap: lambda(P_n) = lambda(C_n) = ceil(2n/5)."""
+    for n in range(21, 27):
+        g = family(n)
+        lam = -(-2 * n // 5)
+        res = lambda_bounded(g, lam)
+        assert res.found and res.size == lam and is_ld_set(g, res.witness)
+        assert not lambda_bounded(g, lam - 1).found
 
 
 def test_distinguishing_invariant_under_complement():
