@@ -108,28 +108,46 @@ def label_multiplicity(ag: AssociatedGraph) -> dict[int, int]:
     return counts
 
 
+def _forest(vertices: Iterable[int], edges) -> dict[int, tuple[int, int, int]]:
+    """Breadth-first spanning forest of the (x, y, label) edges over ``vertices``.
+
+    Each component is rooted at its smallest member.  Maps every other vertex
+    to (parent, label, depth) of its tree edge, parents before children, so
+    the map holds |V| - cc entries.  Every edge endpoint must lie in
+    ``vertices``.
+    """
+    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    for x, y, lab in edges:
+        nbrs[x].append((y, lab))
+        nbrs[y].append((x, lab))
+    tree: dict[int, tuple[int, int, int]] = {}
+    for root in sorted(nbrs):
+        if root in tree:
+            continue
+        # the root marks its component as seen only while it is walked
+        tree[root] = (root, -1, 0)
+        queue = [root]
+        for v in queue:
+            depth = tree[v][2] + 1
+            for w, lab in nbrs[v]:
+                if w not in tree:
+                    tree[w] = (v, lab, depth)
+                    queue.append(w)
+        del tree[root]
+    return tree
+
+
 def _components_of(vertices: Iterable[int], edges) -> tuple[VertexSet, ...]:
     """Connected components of the (x, y, label) edges over ``vertices``,
     ordered by smallest member."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for x, y, _ in edges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+    root: dict[int, int] = {}
+    for v, (p, _, _) in _forest(vertices, edges).items():
+        root[v] = root.get(p, p)
     groups: dict[int, int] = {}
-    for v in vertices:
-        r = find(v)
+    for v in sorted(vertices):
+        r = root.get(v, v)
         groups[r] = groups.get(r, 0) | (1 << v)
-    comps = [VertexSet(m) for m in groups.values()]
-    comps.sort(key=lambda c: c.bits & -c.bits)
-    return tuple(comps)
+    return tuple(VertexSet(m) for m in groups.values())
 
 
 def label_subgraph(ag: AssociatedGraph, s_prime: VertexSet) -> LabelSubgraph:
@@ -146,13 +164,15 @@ def edge_induced_subgraph(ag: AssociatedGraph, edges) -> LabelSubgraph:
     """Subgraph from an explicit subset of parent edges.
 
     Used for the two-edges-per-label bound analysis; the selected labels are
-    those appearing on the chosen edges.
+    those appearing on the chosen edges.  Each edge may be chosen once.
     """
     edges = tuple(sorted(edges))
     known = set(ag.edges)
-    for e in edges:
+    for i, e in enumerate(edges):
         if e not in known:
             raise ValueError(f"edge {e} is not an edge of the associated graph")
+        if i and edges[i - 1] == e:
+            raise ValueError(f"edge {e} is chosen more than once")
     labels = VertexSet.of(lab for _, _, lab in edges)
     return LabelSubgraph(ag, labels, edges, _components_of(ag.vertices, edges))
 
@@ -173,118 +193,57 @@ def component_trace_check(ls: LabelSubgraph) -> bool:
     return True
 
 
-def _adjacency(edges) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for x, y, lab in edges:
-        adj.setdefault(x, []).append((y, lab))
-        adj.setdefault(y, []).append((x, lab))
-    return adj
-
-
 def parity_audit(ag: AssociatedGraph) -> bool:
-    """Every cycle of a cycle basis has an even number of edges per label.
+    """Every cycle has an even number of edges per label.
 
-    Label parity is additive over the cycle space, so checking the
-    fundamental cycles of a spanning forest covers every cycle.  Implemented
-    with label-xor potentials along the forest: a chord (x, y, u) closes an
-    all-even cycle iff potential(x) ^ potential(y) == bit(u).
+    Label parity is additive over the cycle space, and the fundamental cycles
+    of any spanning forest span it, so they decide every cycle.  Potentials
+    xor the label bits down the breadth-first forest; a fundamental cycle is
+    all-even exactly when its closing edge (x, y, u) has
+    potential(x) ^ potential(y) == bit(u), which tree edges meet by
+    construction.
     """
-    adj = _adjacency(ag.edges)
     pot: dict[int, int] = {}
-    for root in ag.vertices:
-        if root in pot:
-            continue
-        pot[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, lab in adj.get(v, ()):
-                if w not in pot:
-                    pot[w] = pot[v] ^ (1 << lab)
-                    stack.append(w)
-    for x, y, lab in ag.edges:
-        if pot[x] ^ pot[y] != (1 << lab):
-            # chord closing a cycle with some odd label count, or an
-            # inconsistent tree edge
-            return False
-    return True
+    for v, (p, lab, _) in _forest(ag.vertices, ag.edges).items():
+        pot[v] = pot.get(p, 0) ^ (1 << lab)
+    return all(pot.get(x, 0) ^ pot.get(y, 0) == 1 << lab for x, y, lab in ag.edges)
 
 
 def cactus_stats(ls: LabelSubgraph) -> CactusStats:
     """Component, cycle and excess-edge counts on the edge-incident restriction.
 
-    is_cactus holds when every block of the subgraph is a single edge or a
-    single cycle, i.e. no edge lies on two distinct cycles.
+    A spanning forest of the restriction has |V| - cc edges, which gives cc,
+    and cy = |E| - |V| + cc counts its fundamental cycles.  is_cactus holds
+    when no edge lies on two cycles, which is when the fundamental cycles are
+    pairwise edge-disjoint: then every cycle, a sum of fundamental ones, is a
+    union of edge-disjoint fundamental cycles, and a simple cycle is never the
+    union of two or more of them (they would meet at a vertex of degree four
+    or not meet at all).  So each closing edge marks the tree edges on its
+    cycle, up to where its two ends meet, and a second mark refutes it.
     """
-    incident: set[int] = set()
-    for x, y, _ in ls.edges:
-        incident.add(x)
-        incident.add(y)
-    verts = tuple(sorted(incident))
-    comps = _components_of(verts, ls.edges)
-    cc = len(comps)
+    verts = {v for x, y, _ in ls.edges for v in (x, y)}
+    tree = _forest(verts, ls.edges)
+    cc = len(verts) - len(tree)
     m = len(ls.edges)
     cy = m - len(verts) + cc
     ex = m - 4 * cy
-    return CactusStats(cc, cy, ex, _all_blocks_edge_or_cycle(verts, ls.edges))
+    return CactusStats(cc, cy, ex, _cycles_edge_disjoint(tree, ls.edges))
 
 
-def _all_blocks_edge_or_cycle(verts, edges) -> bool:
-    # Hopcroft-Tarjan block decomposition; a block with more edges than
-    # vertices contains an edge shared by two cycles.
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for idx, (x, y, _) in enumerate(edges):
-        adj[x].append((y, idx))
-        adj[y].append((x, idx))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = 0
-    estack: list[int] = []
-
-    def block_ok(block_edges: list[int]) -> bool:
-        vs: set[int] = set()
-        for idx in block_edges:
-            x, y, _ = edges[idx]
-            vs.add(x)
-            vs.add(y)
-        return len(block_edges) <= 1 or len(block_edges) == len(vs)
-
-    for root in verts:
-        if root in disc:
+def _cycles_edge_disjoint(tree: dict[int, tuple[int, int, int]], edges) -> bool:
+    """No tree edge lies on two of the fundamental cycles the other edges close."""
+    # a tree edge is named by its child; roots are absent from ``tree``
+    marked: set[int] = set()
+    for x, y, lab in edges:
+        if tree.get(y, ())[:2] == (x, lab) or tree.get(x, ())[:2] == (y, lab):
             continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, pedge, it = stack[-1]
-            advanced = False
-            for w, idx in it:
-                if idx == pedge:
-                    continue
-                if w not in disc:
-                    estack.append(idx)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, idx, iter(adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append(idx)
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block = []
-                    while estack and estack[-1] != pedge:
-                        block.append(estack.pop())
-                    if estack:
-                        block.append(estack.pop())
-                    if not block_ok(block):
-                        return False
+        while x != y:
+            if tree.get(x, (0, 0, 0))[2] < tree.get(y, (0, 0, 0))[2]:
+                x, y = y, x
+            if x in marked:
+                return False
+            marked.add(x)
+            x = tree[x][0]
     return True
 
 

@@ -96,10 +96,10 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     return ConditionTriple(c1, c2, c3, c3_twin)
 
 
-def classify(g: Graph, cap: int = ORACLE_CAP) -> ClassificationReport:
+def classify(g: Graph) -> ClassificationReport:
     """Full comparison of a connected bipartite graph against its complement.
 
-    Both values are exact up to ``cap`` vertices.  Above it the search only
+    Both values are exact up to ``ORACLE_CAP`` vertices.  Above it the search only
     asks for LD-sets of size at most r+1, and the report is marked partial
     when either graph has none.
     """
@@ -110,8 +110,8 @@ def classify(g: Graph, cap: int = ORACLE_CAP) -> ClassificationReport:
     predicted = 3 <= bp.r < bp.s and conds.all_hold()
     sols = []
     for h in (g, complement(g)):
-        if g.n <= cap:
-            rep = lambda_bruteforce(h, cap=cap)
+        if g.n <= ORACLE_CAP:
+            rep = lambda_bruteforce(h)
             sols.append((rep.lam, rep.witness))
         else:
             res = lambda_bounded(h, bp.r + 1)
@@ -131,17 +131,17 @@ def feasibility_window(r: int, s: int) -> bool:
     return -(-3 * r // 2) + 1 <= s <= 2**r - 1
 
 
-def corollary16_audit(g: Graph, cap: int = ORACLE_CAP) -> bool:
+def corollary16_audit(g: Graph) -> bool:
     """For a plus-one graph: 3 <= r < s <= 2^r - 1 and U is the unique minimum LD-set."""
     bp = bipartition(g)
     if bp is None:
         raise ValueError("graph is not bipartite")
     if not (3 <= bp.r < bp.s <= 2**bp.r - 1):
         return False
-    return ld_codes(g, cap=cap) == [bp.U]
+    return ld_codes(g) == [bp.U]
 
 
-def lemma13_audit(g: Graph, code: VertexSet, cap: int = ORACLE_CAP) -> bool:
+def lemma13_audit(g: Graph, code: VertexSet) -> bool:
     """Mixed-side codes (and the other two triggers) force relation <= 0.
 
     Vacuously true when no trigger applies.  Raises when ``code`` is not a
@@ -150,7 +150,7 @@ def lemma13_audit(g: Graph, code: VertexSet, cap: int = ORACLE_CAP) -> bool:
     bp = bipartition(g)
     if bp is None:
         raise ValueError("graph is not bipartite")
-    rep = lambda_bruteforce(g, cap=cap)
+    rep = lambda_bruteforce(g)
     if len(code) != rep.lam or not is_ld_set(g, code):
         raise ValueError("code is not a minimum LD-set of the graph")
     triggers = (
@@ -160,7 +160,7 @@ def lemma13_audit(g: Graph, code: VertexSet, cap: int = ORACLE_CAP) -> bool:
     )
     if not triggers:
         return True
-    lam_bar = lambda_bruteforce(complement(g), cap=cap).lam
+    lam_bar = lambda_bruteforce(complement(g)).lam
     return lam_bar <= rep.lam
 
 
@@ -284,8 +284,8 @@ class CensusEntry:
         return self.equivalence_ok and self.twin_form_ok and self.cor16_ok and self.window_ok
 
 
-def census_pairs(max_n: int, min_r: int = 3) -> list[tuple[int, int]]:
-    return [(r, s) for r in range(min_r, max_n) for s in range(r + 1, max_n - r + 1)]
+def census_pairs(max_n: int) -> list[tuple[int, int]]:
+    return [(r, s) for r in range(3, max_n) for s in range(r + 1, max_n - r + 1)]
 
 
 def check_census_graph(r: int, s: int, traces: tuple[int, ...], g: Graph) -> CensusEntry:

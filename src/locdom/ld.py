@@ -103,16 +103,16 @@ def _is_ld_mask(adj_bits: list[int], full: int, smask: int) -> bool:
     return True
 
 
-def lambda_bruteforce(g: Graph, enumerate_all: bool = False, cap: int = ORACLE_CAP) -> LDReport:
+def lambda_bruteforce(g: Graph, enumerate_all: bool = False) -> LDReport:
     """Exact minimum LD-set size, with the lexicographically first minimum LD-set.
 
     With ``enumerate_all`` every minimum LD-set is collected, in
-    lexicographic order.  Refuses graphs with more than ``cap`` vertices;
+    lexicographic order.  Refuses graphs with more than ``ORACLE_CAP`` vertices;
     :func:`lambda_bounded` answers for those.
     """
-    if g.n > cap:
+    if g.n > ORACLE_CAP:
         raise ValueError(
-            f"graph order {g.n} exceeds the oracle cap {cap}; use lambda_bounded instead "
+            f"graph order {g.n} exceeds the oracle cap {ORACLE_CAP}; use lambda_bounded instead "
             f"(on the command line: locdom lambda --bounded K)"
         )
     lam, codes = _solve(g, g.n, enumerate_all)
@@ -149,9 +149,9 @@ def _mask_key(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def ld_codes(g: Graph, cap: int = ORACLE_CAP) -> list[VertexSet]:
+def ld_codes(g: Graph) -> list[VertexSet]:
     """All LD-sets of minimum size, lexicographically sorted."""
-    return list(lambda_bruteforce(g, enumerate_all=True, cap=cap).all_codes)
+    return list(lambda_bruteforce(g, enumerate_all=True).all_codes)
 
 
 def lambda_bounded(g: Graph, kmax: int) -> BoundedResult:

@@ -11,7 +11,7 @@ import random
 
 from .associated import (
     AssociatedGraph,
-    _components_of,
+    _forest,
     build_associated,
     cactus_stats,
     component_trace_check,
@@ -112,11 +112,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
-def random_distinguishing_set(rng: random.Random, g: Graph,
-                              attempts: int = 60) -> VertexSet:
+_DISTINGUISHING_ATTEMPTS = 60
+
+
+def random_distinguishing_set(rng: random.Random, g: Graph) -> VertexSet:
     """A distinguishing set chosen reproducibly: random subsets first, greedy shrink fallback."""
     verts = list(range(g.n))
-    for _ in range(attempts):
+    for _ in range(_DISTINGUISHING_ATTEMPTS):
         k = rng.randint(1, max(1, g.n - 1))
         s = VertexSet.of(rng.sample(verts, k))
         if is_distinguishing(g, s):
@@ -233,9 +235,8 @@ def cactus_suite(seed: int = 2024, trials: int = 500,
                 cur_v = cur_v - {drop}
                 cur_e = [e for e in cur_e if drop not in (e[0], e[1])]
             chain.append((cur_v, cur_e))
-        for (v1, e1), (v2, e2) in zip(chain, chain[1:]):
-            if (len(v1) - len(_components_of(v1, e1))
-                    < len(v2) - len(_components_of(v2, e2))):
-                bad.append(f"{tag}: |V| - cc increased along a deletion chain")
-                break
+        # |V| - cc is the number of spanning-forest edges
+        ranks = [len(_forest(v, e)) for v, e in chain]
+        if any(a < b for a, b in zip(ranks, ranks[1:])):
+            bad.append(f"{tag}: |V| - cc increased along a deletion chain")
     return trials, bad

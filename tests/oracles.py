@@ -89,23 +89,26 @@ def nx_graph(g) -> nx.Graph:
     return G
 
 
-def nx_component_count(vertices, edge_pairs) -> int:
+def nx_components(vertices, edge_pairs) -> list[tuple[int, ...]]:
+    """Connected components as sorted tuples, ordered by smallest member."""
     G = nx.Graph()
     G.add_nodes_from(vertices)
     G.add_edges_from(edge_pairs)
-    return nx.number_connected_components(G)
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(G))
 
 
-def nx_is_cactus(vertices, edge_pairs) -> bool:
-    """No edge on two cycles: every biconnected block is an edge or a cycle."""
-    G = nx.Graph()
-    G.add_nodes_from(vertices)
-    G.add_edges_from(edge_pairs)
-    for block in nx.biconnected_components(G):
-        sub = G.subgraph(block)
-        if sub.number_of_edges() > 1 and sub.number_of_edges() != sub.number_of_nodes():
-            return False
-    return True
+def nx_cactus_stats(edge_pairs) -> tuple[int, int, int, bool]:
+    """(cc, cy, ex, is_cactus) of the graph the edges span.
+
+    cy is the size of nx's cycle basis and ex = |E| - 4 cy.  A cactus has no
+    edge on two cycles: every biconnected block is an edge or a cycle.
+    """
+    G = nx.Graph(list(edge_pairs))
+    cy = len(nx.cycle_basis(G))
+    blocks = [G.subgraph(b) for b in nx.biconnected_components(G)]
+    is_cactus = all(b.number_of_edges() in (1, b.number_of_nodes()) for b in blocks)
+    return (nx.number_connected_components(G), cy, G.number_of_edges() - 4 * cy,
+            is_cactus)
 
 
 def nx_cycle_label_parity_ok(vertices, labeled_edges) -> bool:

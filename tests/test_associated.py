@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from locdom.associated import (
+    AssociatedGraph,
     build_associated,
     cactus_stats,
     component_trace_check,
@@ -19,9 +21,9 @@ from locdom.suites import random_distinguishing_set, random_graph
 
 from oracles import (
     naive_associated_edges,
-    nx_component_count,
+    nx_cactus_stats,
+    nx_components,
     nx_cycle_label_parity_ok,
-    nx_is_cactus,
 )
 
 
@@ -222,11 +224,63 @@ def test_cactus_stats_euler_and_blocks_random():
         k = rng.randint(1, len(ag.edges))
         ls = edge_induced_subgraph(ag, rng.sample(list(ag.edges), k))
         stats = cactus_stats(ls)
-        verts = {v for x, y, _ in ls.edges for v in (x, y)}
         pairs = [(x, y) for x, y, _ in ls.edges]
-        assert stats.cc == nx_component_count(verts, pairs)
-        assert stats.cy == len(ls.edges) - len(verts) + stats.cc
-        assert stats.is_cactus == nx_is_cactus(verts, pairs)
+        assert (stats.cc, stats.cy, stats.ex, stats.is_cactus) == nx_cactus_stats(pairs)
+
+
+
+def test_edge_induced_subgraph_rejects_repeated_and_foreign_edges(gadget):
+    g, s = gadget
+    ag = build_associated(g, s)
+    e = ag.edges[0]
+    with pytest.raises(ValueError, match=re.escape(f"edge {e} is chosen more than once")):
+        edge_induced_subgraph(ag, [e, ag.edges[1], e])
+    with pytest.raises(ValueError, match="not an edge"):
+        edge_induced_subgraph(ag, [(5, 12, 0)])
+
+
+def random_labeled_graph(rng: random.Random) -> AssociatedGraph:
+    """An arbitrary simple graph on at most 12 vertices with labels 0..4.
+
+    The labels are random, or read off random 4-bit vertex codes (an edge
+    joins codes that differ in its label's bit, so every cycle is label-even),
+    or read off codes with one edge relabeled.  Only the vertices and labeled
+    edges are meaningful; graph, s and level are placeholders.
+    """
+    n = rng.randint(1, 12)
+    p = rng.uniform(0.1, 0.7)
+    kind = rng.randrange(3)
+    if kind == 0:
+        edges = [(x, y, rng.randrange(5)) for x in range(n) for y in range(x + 1, n)
+                 if rng.random() < p]
+    else:
+        codes = [rng.randrange(16) for _ in range(n)]
+        edges = [(x, y, (codes[x] ^ codes[y]).bit_length() - 1)
+                 for x in range(n) for y in range(x + 1, n)
+                 if (codes[x] ^ codes[y]).bit_count() == 1 and rng.random() < 2 * p]
+        if kind == 2 and edges:
+            i = rng.randrange(len(edges))
+            x, y, lab = edges[i]
+            edges[i] = (x, y, rng.choice([u for u in range(5) if u != lab]))
+    return AssociatedGraph(build_graph(n, []), VertexSet.of(range(5)), tuple(range(n)),
+                           tuple(edges), {v: 0 for v in range(n)}, 5)
+
+
+def test_parity_and_cactus_on_arbitrary_labeled_graphs():
+    """Both verdicts of parity_audit and is_cactus, against networkx."""
+    rng = random.Random(127)
+    outcomes = set()
+    for _ in range(300):
+        ag = random_labeled_graph(rng)
+        pairs = [(x, y) for x, y, _ in ag.edges]
+        even = parity_audit(ag)
+        assert even == nx_cycle_label_parity_ok(ag.vertices, ag.edges)
+        ls = label_subgraph(ag, ag.s)
+        assert [c.members() for c in ls.components] == nx_components(ag.vertices, pairs)
+        stats = cactus_stats(ls)
+        assert (stats.cc, stats.cy, stats.ex, stats.is_cactus) == nx_cactus_stats(pairs)
+        outcomes |= {("even", even), ("cactus", stats.is_cactus)}
+    assert len(outcomes) == 4
 
 
 def trace_cube():
@@ -246,8 +300,7 @@ def test_cube_instance_is_not_cactus():
     whole = edge_induced_subgraph(ag, ag.edges)
     stats = cactus_stats(whole)
     assert not stats.is_cactus
-    assert not nx_is_cactus({v for x, y, _ in whole.edges for v in (x, y)},
-                            [(x, y) for x, y, _ in whole.edges])
+    assert not nx_cactus_stats([(x, y) for x, y, _ in whole.edges])[3]
     assert (stats.cc, stats.cy) == (1, 12 - 8 + 1)
     # restricting to two labels keeps two disjoint squares: a cactus again
     two = label_subgraph(ag, vs(0, 1))
