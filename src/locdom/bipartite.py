@@ -305,8 +305,10 @@ def check_census_graph(r: int, s: int, traces: tuple[int, ...], g: Graph) -> Cen
 def run_census(max_n: int, jobs: int = 1) -> list[CensusEntry]:
     """Check every connected bipartite graph with 3 <= r < s and order <= max_n.
 
-    Work may be spread over processes; entries always come back in canonical
-    (r, s, trace multiset) order regardless of job count.  Orders above
+    Entries come back in (r, s, trace multiset) order whatever the job count:
+    ``census_pairs`` lists (r, s) in increasing order, each enumeration yields
+    sorted trace tuples in increasing order, and ``pool.starmap`` keeps the
+    order of its input just as the serial loop does.  Orders above
     ``ORACLE_CAP`` are refused before anything is enumerated: classify gives
     exact values only up to that order.
     """
@@ -322,8 +324,5 @@ def run_census(max_n: int, jobs: int = 1) -> list[CensusEntry]:
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            entries = pool.starmap(check_census_graph, work, chunksize=16)
-    else:
-        entries = [check_census_graph(*item) for item in work]
-    entries.sort(key=lambda e: (e.r, e.s, e.traces))
-    return entries
+            return pool.starmap(check_census_graph, work, chunksize=16)
+    return [check_census_graph(*item) for item in work]

@@ -188,19 +188,21 @@ def bipartition(g: Graph) -> Bipartition | None:
     """
     if g.n == 0:
         raise ValueError("graph is not connected: it has no vertices")
-    if not is_connected(g):
-        raise ValueError("graph is not connected; split into components first")
     color = [-1] * g.n
     color[0] = 0
     queue = [0]
-    while queue:
-        v = queue.pop()
+    odd = False
+    for v in queue:
         for w in g.adj[v]:
             if color[w] == -1:
                 color[w] = 1 - color[v]
                 queue.append(w)
             elif color[w] == color[v]:
-                return None
+                odd = True
+    if len(queue) < g.n:
+        raise ValueError("graph is not connected; split into components first")
+    if odd:
+        return None
     side0 = VertexSet.of(v for v in range(g.n) if color[v] == 0)
     side1 = VertexSet.of(v for v in range(g.n) if color[v] == 1)
     if len(side0) > len(side1):

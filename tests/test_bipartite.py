@@ -176,6 +176,10 @@ def test_run_census_parallel_matches_serial():
     serial = run_census(8)
     parallel = run_census(8, jobs=2)
     assert serial == parallel
+    # run_census does not sort: the order is the enumeration's own
+    for entries in (serial, parallel):
+        keys = [(e.r, e.s, e.traces) for e in entries]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_classify_matches_naive_lambda_on_census_sample():

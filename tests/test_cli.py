@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -150,6 +151,14 @@ def test_verify_command_thm3_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "thm3", "--max-n", "5")
     assert code == 0
     assert json.loads(out)["checked"] == 31
+
+
+def test_verify_thm3_runs_without_networkx(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    code, out, _ = run(capsys, "verify", "--suite", "thm3", "--max-n", "7")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["checked"] == 996 and rep["violations"] == []
 
 
 def test_usage_errors_exit_2(capsys):

@@ -92,6 +92,10 @@ def test_bipartition_requires_connected():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="not connected"):
         bipartition(g)
+    # an odd cycle in one component does not hide the missing connection
+    g = build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(ValueError, match="not connected"):
+        bipartition(g)
 
 
 def test_bipartition_tie_break_contains_vertex_zero():

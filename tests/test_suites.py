@@ -1,5 +1,10 @@
+from fnmatch import fnmatch
+from pathlib import Path
+
 import pytest
 
+from locdom import suites
+from locdom.graphio import parse_graph6
 from locdom.suites import (
     cactus_suite,
     connected_atlas_graphs,
@@ -20,6 +25,44 @@ def test_atlas_counts():
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     with pytest.raises(ValueError, match="atlas covers"):
         connected_atlas_graphs(8)
+
+
+def test_atlas_file_is_the_connected_networkx_atlas():
+    """Reference for data/connected7.g6: rebuilt here from networkx's atlas."""
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    expected = [
+        nx.to_graph6_bytes(G, header=False).decode("ascii").strip()
+        for G in graph_atlas_g()[1:]
+        if G.number_of_nodes() <= 7 and nx.is_connected(G)
+    ]
+    assert suites._ATLAS_FILE.read_text(encoding="ascii").splitlines() == expected
+
+
+def test_atlas_count_guard_names_the_short_order(tmp_path, monkeypatch):
+    lines = suites._ATLAS_FILE.read_text(encoding="ascii").splitlines()
+    drop = next(i for i, line in enumerate(lines) if parse_graph6(line).n == 5)
+    short = tmp_path / "short.g6"
+    short.write_text("".join(line + "\n" for i, line in enumerate(lines) if i != drop))
+    monkeypatch.setattr(suites, "_ATLAS_FILE", short)
+    with pytest.raises(RuntimeError, match="20 connected graphs of order 5, expected 21"):
+        connected_atlas_graphs(7)
+
+
+def test_pyproject_has_no_runtime_dependency_and_ships_the_data():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    root = Path(__file__).resolve().parents[1]
+    meta = tomllib.loads((root / "pyproject.toml").read_text())
+    assert meta["project"]["dependencies"] == []
+    test_extra = meta["project"]["optional-dependencies"]["test"]
+    assert any(req.startswith("networkx") for req in test_extra)
+    globs = meta["tool"]["setuptools"]["package-data"]["locdom"]
+    package = root / "src" / "locdom"
+    data = [p.relative_to(package).as_posix() for p in (package / "data").rglob("*") if p.is_file()]
+    assert data
+    for rel in data:
+        assert any(fnmatch(rel, glob) for glob in globs), rel
 
 
 def test_random_distinguishing_set_is_distinguishing():
