@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, suites.AtlasError) as exc:
         print(f"locdom: error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,13 +32,17 @@ _CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 _ATLAS_FILE = resources.files(__package__).joinpath("data/connected7.g6")
 
 
+class AtlasError(RuntimeError):
+    """The atlas file does not hold the known number of graphs of some order."""
+
+
 def connected_atlas_graphs(max_n: int) -> list[Graph]:
     """Every connected graph with at most max_n <= 7 vertices, one per isomorphism class.
 
     Read from the package file ``data/connected7.g6``: the connected graphs
     with n <= 7 from Read and Wilson's *An Atlas of Graphs*, one graph6 line
-    each, in atlas order.  Per-order counts are asserted against the known values so a
-    damaged file cannot silently shrink the census.
+    each, in atlas order.  Per-order counts are checked against the known values,
+    raising AtlasError, so a damaged file cannot silently shrink the census.
     """
     if max_n > ATLAS_MAX_N:
         raise ValueError(f"atlas covers n <= {ATLAS_MAX_N}, requested {max_n}")
@@ -52,7 +56,7 @@ def connected_atlas_graphs(max_n: int) -> list[Graph]:
         counts[g.n] += 1
     for n in range(1, max_n + 1):
         if counts[n] != _CONNECTED_COUNTS[n]:
-            raise RuntimeError(
+            raise AtlasError(
                 f"atlas anomaly: {counts[n]} connected graphs of order {n}, "
                 f"expected {_CONNECTED_COUNTS[n]}"
             )
@@ -133,9 +137,22 @@ def random_distinguishing_set(rng: random.Random, g: Graph) -> VertexSet:
     return s
 
 
+# smallest order each random suite draws: parity from 4 up, cactus from 6 up
+# (see _two_per_label_instance)
+PARITY_MIN_N = 4
+CACTUS_MIN_N = 6
+
+
+def _check_random_params(suite: str, trials: int, max_n: int, min_n: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if max_n < min_n:
+        raise ValueError(f"the {suite} suite needs max_n >= {min_n}, got {max_n}")
+
+
 def _random_instance(rng: random.Random, max_n: int) -> tuple[Graph, VertexSet, AssociatedGraph]:
     while True:
-        n = rng.randint(4, max_n)
+        n = rng.randint(PARITY_MIN_N, max_n)
         g = random_graph(rng, n, rng.uniform(0.15, 0.85))
         s = random_distinguishing_set(rng, g)
         if len(s) < g.n:
@@ -149,7 +166,9 @@ def parity_suite(seed: int = 2024, trials: int = 500,
     Order, level-parity bipartiteness, incident-label distinctness, cycle
     label parity, equality with the complement's associated graph under level
     reversal, and the component-trace property for a random label subset.
+    Raises ValueError when trials < 0 or max_n < PARITY_MIN_N.
     """
+    _check_random_params("parity", trials, max_n, PARITY_MIN_N)
     rng = random.Random(seed)
     bad = []
     for t in range(trials):
@@ -181,30 +200,69 @@ def parity_suite(seed: int = 2024, trials: int = 500,
 
 
 def _two_per_label_instance(rng: random.Random, max_n: int):
-    """Random associated graph plus a subgraph with exactly two edges per chosen label."""
-    while True:
-        _, _, ag = _random_instance(rng, max_n)
-        counts = label_multiplicity(ag)
-        eligible = [u for u, c in counts.items() if c >= 2]
-        if not eligible:
-            continue
-        chosen = [u for u in eligible if rng.random() < 0.6]
-        if not chosen:
-            chosen = [rng.choice(eligible)]
-        picked = []
-        for u in chosen:
-            pool = [e for e in ag.edges if e[2] == u]
-            picked.extend(rng.sample(pool, 2))
-        return ag, chosen, edge_induced_subgraph(ag, picked)
+    """Random associated graph plus a subgraph with exactly two edges per chosen label.
+
+    Drawn trace-first.  The associated graph of S depends only on S and the
+    traces N(v) & S of the vertices outside S, which S distinguishes exactly
+    when they are distinct.  Any family of distinct traces is realised by the
+    edges between S and V - S alone, and edges inside S or inside V - S change
+    no trace, so drawing the traces reaches every associated graph that
+    drawing a whole (G, S) does.  Seeding them with a, a + u, b and b + u
+    (u in neither a nor b) gives label u two edges, so every draw is an
+    instance that the lemma applies to and none is discarded.  Two edges with
+    one label share no end, so n - k >= 4; with n - k <= 2^k that forces
+    k >= 2 and n >= CACTUS_MIN_N.
+    """
+    n = rng.randint(CACTUS_MIN_N, max_n)
+    # k starts at the least size with room for n - k distinct traces and grows
+    # by one with probability 1/2 a step: every admissible k stays possible,
+    # and the small ones, whose traces lie close enough to differ in a single
+    # member, come most often
+    k = next(k for k in range(2, n - 3) if n - k <= 1 << k)
+    while k < n - 4 and rng.random() < 0.5:
+        k += 1
+    j = rng.randrange(k)
+    low = (1 << j) - 1
+    # label u is s[j]: a and b are two distinct (k-1)-bit masks, spread to k
+    # bits with a zero at bit j
+    a, b = ((x & ~low) << 1 | (x & low) for x in rng.sample(range(1 << (k - 1)), 2))
+    traces = [a, a | 1 << j, b, b | 1 << j]
+    seen = set(traces)
+    while len(traces) < n - k:
+        m = rng.getrandbits(k)
+        if m not in seen:
+            seen.add(m)
+            traces.append(m)
+    place = rng.sample(range(n), n)
+    s, outside = place[:k], place[k:]
+    edges = [(s[i], w) for w, m in zip(outside, traces) for i in range(k) if m >> i & 1]
+    ag = build_associated(build_graph(n, edges), VertexSet.of(s))
+    counts = label_multiplicity(ag)
+    eligible = [u for u, c in counts.items() if c >= 2]
+    chosen = [u for u in eligible if rng.random() < 0.6]
+    if not chosen:
+        chosen = [rng.choice(eligible)]
+    picked = []
+    for u in chosen:
+        pool = [e for e in ag.edges if e[2] == u]
+        picked.extend(rng.sample(pool, 2))
+    return ag, chosen, edge_induced_subgraph(ag, picked)
 
 
 def cactus_suite(seed: int = 2024, trials: int = 500,
                  max_n: int = 14) -> tuple[int, list[str]]:
     """Cactus structure and order bounds of two-edges-per-label subgraphs.
 
-    Also walks a random deletion chain from the full associated graph down
-    through the subgraph, checking that |V| - cc never increases.
+    Each trial draws one instance, trace-first (see _two_per_label_instance):
+    the lemma concerns only the associated graph, which the traces of the
+    vertices outside S determine, so drawing those traces directly tests the
+    same statement as drawing a whole graph and keeping only the instances
+    that have a label with two edges.  Also walks a random deletion chain
+    from the full associated graph down through the subgraph, checking that
+    |V| - cc never increases.  Raises ValueError when trials < 0 or
+    max_n < CACTUS_MIN_N, below which no label can carry two edges.
     """
+    _check_random_params("cactus", trials, max_n, CACTUS_MIN_N)
     rng = random.Random(seed)
     bad = []
     for t in range(trials):

@@ -161,6 +161,29 @@ def test_verify_thm3_runs_without_networkx(capsys, monkeypatch):
     assert rep["checked"] == 996 and rep["violations"] == []
 
 
+@pytest.mark.parametrize("suite, args, message", [
+    ("cactus", ["--max-n", "5"], "the cactus suite needs max_n >= 6, got 5"),
+    ("cactus", ["--max-n", "3"], "the cactus suite needs max_n >= 6, got 3"),
+    ("parity", ["--max-n", "3"], "the parity suite needs max_n >= 4, got 3"),
+    ("parity", ["--trials", "-3"], "trials must be >= 0, got -3"),
+])
+def test_verify_random_suite_out_of_range_is_a_usage_error(capsys, suite, args, message):
+    code, out, err = run(capsys, "verify", "--suite", suite, *args)
+    assert code == 2 and out == ""
+    assert err == f"locdom: error: {message}\n"
+
+
+def test_verify_thm3_on_a_damaged_atlas_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from locdom import suites
+    lines = suites._ATLAS_FILE.read_text(encoding="ascii").splitlines()
+    short = tmp_path / "short.g6"
+    short.write_text("".join(line + "\n" for line in lines[:500]))
+    monkeypatch.setattr(suites, "_ATLAS_FILE", short)
+    code, out, err = run(capsys, "verify", "--suite", "thm3", "--max-n", "7")
+    assert code == 2 and out == ""
+    assert err == "locdom: error: atlas anomaly: 357 connected graphs of order 7, expected 853\n"
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lambda"])  # missing file argument

@@ -1,9 +1,12 @@
+import dataclasses
+import random
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 from locdom import suites
+from locdom.associated import cactus_stats
 from locdom.graphio import parse_graph6
 from locdom.suites import (
     cactus_suite,
@@ -15,6 +18,7 @@ from locdom.suites import (
     thm3_suite,
 )
 from locdom.ld import is_distinguishing
+from oracles import naive_associated_edges, nx_cactus_stats
 
 
 def test_atlas_counts():
@@ -66,7 +70,6 @@ def test_pyproject_has_no_runtime_dependency_and_ships_the_data():
 
 
 def test_random_distinguishing_set_is_distinguishing():
-    import random
     rng = random.Random(3)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
@@ -89,3 +92,63 @@ def test_suites_smoke():
 def test_suites_deterministic_per_seed():
     assert parity_suite(seed=5, trials=15) == parity_suite(seed=5, trials=15)
     assert cactus_suite(seed=5, trials=15) == cactus_suite(seed=5, trials=15)
+
+
+def test_two_per_label_draw_matches_the_definition_and_oracles():
+    """Trace-first cactus instances against the definition and networkx."""
+    rng = random.Random(11)
+    max_n = 12
+    shapes, with_cycle, multi_label = set(), 0, 0
+    for _ in range(300):
+        ag, chosen, sub = suites._two_per_label_instance(rng, max_n)
+        g, s = ag.graph, set(ag.s)
+        edges = list(g.edges())
+        # G has only S-(V - S) edges; the associated edges follow the definition
+        assert all((i in s) != (j in s) for i, j in edges)
+        assert len(ag.edges) == len(set(ag.edges))
+        assert set(ag.edges) == naive_associated_edges(g.n, edges, s)
+        # exactly two parent edges per chosen label
+        assert set(sub.edges) <= set(ag.edges)
+        assert sorted(lab for _, _, lab in sub.edges) == sorted(chosen * 2)
+        st = cactus_stats(sub)
+        ref = nx_cactus_stats((x, y) for x, y, _ in sub.edges)
+        assert (st.cc, st.cy, st.ex, st.is_cactus) == ref
+        shapes.add((g.n, len(s)))
+        with_cycle += st.cy >= 1
+        multi_label += len(chosen) >= 2
+    assert {n for n, _ in shapes} == set(range(suites.CACTUS_MIN_N, max_n + 1))
+    # every |S| = k with 4 <= n - k <= 2^k occurs, at least for the small orders
+    assert {(n, k) for n in range(6, 10) for k in range(2, n - 3) if n - k <= 1 << k} <= shapes
+    assert with_cycle and multi_label
+
+
+def test_cactus_suite_builds_one_instance_per_trial(monkeypatch):
+    built = []
+    real = suites.build_associated
+    monkeypatch.setattr(suites, "build_associated", lambda g, s: built.append(g) or real(g, s))
+    assert cactus_suite(seed=3, trials=50, max_n=14) == (50, [])
+    assert len(built) == 50
+
+
+def test_cactus_suite_reports_a_non_cactus(monkeypatch):
+    """The cactus check is not vacuous: a wrong verdict shows as violations."""
+    real = suites.cactus_stats
+    monkeypatch.setattr(suites, "cactus_stats",
+                        lambda ls: dataclasses.replace(real(ls), is_cactus=False))
+    checked, bad = cactus_suite(seed=1, trials=20, max_n=10)
+    assert checked == 20 and len(bad) == 20
+    assert all("not a cactus" in line for line in bad)
+
+
+def test_random_suites_reject_out_of_range_parameters():
+    with pytest.raises(ValueError, match="cactus suite needs max_n >= 6, got 5"):
+        cactus_suite(max_n=5)
+    with pytest.raises(ValueError, match="parity suite needs max_n >= 4, got 3"):
+        parity_suite(max_n=3)
+    for suite in (parity_suite, cactus_suite):
+        with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
+            suite(trials=-3)
+    # the bounds themselves are accepted
+    assert cactus_suite(seed=2, trials=30, max_n=6) == (30, [])
+    assert parity_suite(seed=2, trials=30, max_n=4) == (30, [])
+    assert cactus_suite(trials=0) == parity_suite(trials=0) == (0, [])
