@@ -166,8 +166,15 @@ def lemma13_audit(g: Graph, code: VertexSet) -> bool:
 
 # --- census of connected bipartite graphs by trace multisets ---------------
 
+# r! relabeling tables of 2^r entries each: r = 8 takes seconds and about
+# 100 MB, r = 9 would take several GB.
+PERM_TABLE_MAX_R = 8
+
+
 @lru_cache(maxsize=8)
 def _perm_tables(r: int) -> list[list[int]]:
+    if r > PERM_TABLE_MAX_R:
+        raise ValueError(f"relabeling tables stop at r <= {PERM_TABLE_MAX_R}, got r = {r}")
     tables = []
     for perm in permutations(range(r)):
         table = [0] * (1 << r)
@@ -310,11 +317,17 @@ def run_census(max_n: int, jobs: int = 1) -> list[CensusEntry]:
     sorted trace tuples in increasing order, and ``pool.starmap`` keeps the
     order of its input just as the serial loop does.  Orders above
     ``ORACLE_CAP`` are refused before anything is enumerated: classify gives
-    exact values only up to that order.
+    exact values only up to that order.  So are orders that reach a small
+    side above ``PERM_TABLE_MAX_R``, whose relabeling tables do not fit.
     """
     if max_n > ORACLE_CAP:
         raise ValueError(f"census order {max_n} exceeds the exact solver's cap "
                          f"of {ORACLE_CAP} vertices")
+    top_r = (max_n - 1) // 2
+    if top_r > PERM_TABLE_MAX_R:
+        raise ValueError(f"census order {max_n} reaches a small side of r = {top_r}, but "
+                         f"the enumerator's relabeling tables stop at r <= {PERM_TABLE_MAX_R} "
+                         f"(census order {2 * PERM_TABLE_MAX_R + 2} at most)")
     work = [
         (r, s, traces, g)
         for r, s in census_pairs(max_n)

@@ -6,15 +6,19 @@ S.  An LD-set is both.  Every minimum here (:func:`lambda_bruteforce`,
 :func:`ld_codes`, :func:`lambda_bounded`) comes from one exact search: each
 connected component is solved on its own, sizes are tried upward from
 Slater's lower bound, and an include-first walk over the vertices meets
-LD-sets in lexicographic order.  The walk prunes with precomputed *seal*
-lists: a set is an LD-set exactly when it meets N[u] for every vertex u and
-{u, v} plus the separators of u and v for every pair, and each such mask is
-listed under its highest vertex, where the walk has decided all of it.
+LD-sets in lexicographic order.  A set is an LD-set exactly when it meets
+every *seal*: N[u] for every vertex u, and {u, v} plus the separators of u
+and v for every pair.  The seals are numbered, and each vertex has a bitset
+of the seal indices it meets, so the walk carries the seals met so far as
+one int: including a vertex is one OR, a branch ends when some seal whose
+members are all decided is missed, and a full branch is an LD-set exactly
+when it has met every seal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import Graph, VertexSet, connected_components, induced_subgraph
@@ -88,19 +92,6 @@ def undominated_vertex(g: Graph, s: VertexSet) -> int | None:
     if len(hits) > 1:
         raise ValueError(f"two undominated vertices {hits[:2]} under a distinguishing set")
     return hits[0] if hits else None
-
-
-def _is_ld_mask(adj_bits: list[int], full: int, smask: int) -> bool:
-    rest = full & ~smask
-    seen = set()
-    while rest:
-        low = rest & -rest
-        t = adj_bits[low.bit_length() - 1] & smask
-        if t == 0 or t in seen:
-            return False
-        seen.add(t)
-        rest ^= low
-    return True
 
 
 def lambda_bruteforce(g: Graph, enumerate_all: bool = False) -> LDReport:
@@ -210,44 +201,75 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
     """The least size k in [kmin, kmax] with an LD-set, and its LD-set masks.
 
     For each k an include-first walk decides vertices 0, 1, ... in turn, so
-    LD-sets are met in lexicographic order.  ``seals[i]`` lists the masks
-    whose highest vertex is i: N[u] for each vertex u, and {u, v} plus the
-    separators (N(u) ^ N(v)) - {u, v} for each pair u < v.  A set is an
-    LD-set exactly when it meets every one.  Including i meets all of
-    ``seals[i]``; excluding i decides their last vertex, so a seal the chosen
-    set misses there ends the branch.  A walk that reaches i == n has passed
-    every seal.
+    LD-sets are met in lexicographic order.  The walk carries ``met``, the
+    seal indices (see :func:`_seal_index`) that the chosen vertices meet, as
+    one int.  Including i adds ``hits_of[i]``.  Excluding i decides every
+    seal with no member above i, so a branch whose ``met`` misses a seal of
+    ``closed_at[i]`` ends there.  A branch that has filled its k slots is an
+    LD-set exactly when ``met == every``.
     """
     n = g.n
-    adj_bits = [row.bits for row in g.adj]
-    full = (1 << n) - 1
-    seals: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        closed = adj_bits[u] | 1 << u
-        seals[closed.bit_length() - 1].append(closed)
-        for v in range(u + 1, n):
-            pair = (adj_bits[u] ^ adj_bits[v]) | 1 << u | 1 << v
-            seals[pair.bit_length() - 1].append(pair)
+    hits_of, closed_at, every = _seal_index([row.bits for row in g.adj])
     hits: list[int] = []
 
-    def walk(i: int, chosen: int, size: int) -> bool:
+    def walk(i: int, met: int, chosen: int, size: int) -> bool:
         """Search below a branch; True once the first hit ends the search."""
         if size == k:
-            if i == n or _is_ld_mask(adj_bits, full, chosen):
+            if met == every:
                 hits.append(chosen)
                 return not collect
             return False
         if n - i < k - size:
             return False
-        if walk(i + 1, chosen | 1 << i, size + 1):
+        if walk(i + 1, met | hits_of[i], chosen | 1 << i, size + 1):
             return True
-        for seal in seals[i]:
-            if not seal & chosen:
-                return False
-        return walk(i + 1, chosen, size)
+        if closed_at[i] & ~met:
+            return False
+        return walk(i + 1, met, chosen, size)
 
     for k in range(kmin, kmax + 1):
-        walk(0, 0, 0)
+        walk(0, 0, 0, 0)
         if hits:
             return k, hits
     return None
+
+
+@lru_cache(maxsize=64)
+def _seal_layout(n: int) -> tuple[list[int], int, int, int]:
+    """Per-order constants of the seal index: ``block[u]``, the lowest bit of
+    pair block u; ``rep``, their sum; ``above``, the valid pair bits (v > u in
+    block u); and ``every``, all seal indices."""
+    block = [1 << (n + u * n) for u in range(n)]
+    full = (1 << n) - 1
+    above = sum((full ^ ((2 << u) - 1)) << (n + u * n) for u in range(n))
+    return block, sum(block), above, full | above
+
+
+def _seal_index(adj_bits: list[int]) -> tuple[list[int], list[int], int]:
+    """(hits_of, closed_at, every) for the graph with these neighbourhood masks.
+
+    Seals are numbered in a fixed layout: bit u is N[u], and bit n + u*n + v
+    is the pair seal {u, v} | (N(u) ^ N(v)) of u < v.  ``hits_of[x]`` holds
+    the seals that contain x: N[x] in the closed part, and in pair block u
+    the v with u in N(x) xor v in N(x), plus v == x and all of x's own block.
+    ``closed_at[i]`` holds the seals with no member above i.
+    """
+    n = len(adj_bits)
+    block, rep, above, every = _seal_layout(n)
+    full = (1 << n) - 1
+    hits_of = []
+    for x, nbrs in enumerate(adj_bits):
+        spread = 0
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            spread |= block[low.bit_length() - 1]
+            rest ^= low
+        pairs = (nbrs * rep) ^ (spread * full) | rep << x | full << (n + x * n)
+        hits_of.append(nbrs | 1 << x | above & pairs)
+    closed_at = [0] * n
+    later = 0
+    for i in range(n - 1, -1, -1):
+        closed_at[i] = every & ~later
+        later |= hits_of[i]
+    return hits_of, closed_at, every

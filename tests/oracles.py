@@ -42,6 +42,30 @@ def naive_lambda(n: int, edges) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: V is an LD-set")
 
 
+def ilp_lambda(n: int, edges) -> int:
+    """Minimum LD-set size from a 0/1 program written from the definition.
+
+    x_v = 1 puts v in the set.  Domination: x_v plus x over N(v) is at least
+    1.  Location: for u != v, x_u + x_v plus x over N(u) ^ N(v) is at least 1,
+    since two outside vertices are told apart only by a member adjacent to
+    exactly one of them.  Needs scipy.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    adj = adj_sets(n, edges)
+    rows = [[v, *adj[v]] for v in range(n)]
+    rows += [[u, v, *(adj[u] ^ adj[v])] for u, v in combinations(range(n), 2)]
+    a = np.zeros((len(rows), n))
+    for i, cols in enumerate(rows):
+        a[i, cols] = 1
+    res = milp(c=np.ones(n), constraints=LinearConstraint(a, lb=1, ub=np.inf),
+               integrality=np.ones(n), bounds=Bounds(0, 1))
+    if res.status != 0:
+        raise RuntimeError(f"ILP solver did not finish: {res.message}")
+    return int(round(res.fun))
+
+
 def naive_codes(n: int, edges) -> list[tuple[int, ...]]:
     adj = adj_sets(n, edges)
     lam, _ = naive_lambda(n, edges)

@@ -7,6 +7,8 @@ per-criterion lines and timings inline).
 import time
 from math import ceil
 
+import pytest
+
 from locdom.associated import build_associated, label_subgraph
 from locdom.bipartite import bipartition, feasibility_window, run_census
 from locdom.families import (
@@ -83,6 +85,17 @@ def test_c3_characterization_census():
     assert plus, "the census must contain gain witnesses"
     assert all(feasibility_window(e.r, e.s) for e in plus)
     report(f"3 census of {len(entries)} bipartite graphs n<=10", start)
+
+
+@pytest.mark.slow
+def test_census_order_11():
+    """Opt-in (pytest -m slow): the whole order-11 census."""
+    start = time.monotonic()
+    entries = run_census(11)
+    assert len(entries) == 28509
+    assert [e for e in entries if not e.ok()] == []
+    assert sum(1 for e in entries if e.report.relation == 1) == 5
+    report(f"census of {len(entries)} bipartite graphs n<=11", start)
 
 
 def test_c4_extremal_construction():

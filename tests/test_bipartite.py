@@ -130,6 +130,14 @@ def test_canonical_traces_identifies_isomorphs():
         assert canonical_traces(r, traces) == canonical_traces(r, permuted)
 
 
+def test_relabeling_tables_refuse_r_above_8():
+    """r = 9 would need 9! tables of 512 entries; every caller is refused first."""
+    with pytest.raises(ValueError, match="r <= 8, got r = 9"):
+        canonical_traces(9, (1, 2))
+    with pytest.raises(ValueError, match="r <= 8, got r = 9"):
+        next(connected_bipartite_graphs(9, 10))
+
+
 def test_census_generator_small_counts():
     """Trace-multiset enumeration agrees with brute-force enumeration over all
     labeled bipartite graphs, counted up to isomorphism via canonical forms."""

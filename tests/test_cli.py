@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from locdom import bipartite
 from locdom.cli import main
 from locdom.families import path
 from locdom.graphio import to_edge_list, to_graph6
@@ -127,6 +128,19 @@ def test_census_over_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "census", "--max-n", "21")
     assert code == 2 and out == ""
     assert err.startswith("locdom: error:") and "cap of 20" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_n", ["19", "20"])
+def test_census_beyond_the_relabeling_tables_is_a_usage_error(capsys, monkeypatch, max_n):
+    """Orders that reach r = 9 are refused before any relabeling table is built."""
+    def refuse(r):
+        raise AssertionError(f"_perm_tables({r}) was called")
+
+    monkeypatch.setattr(bipartite, "_perm_tables", refuse)
+    code, out, err = run(capsys, "census", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err.startswith("locdom: error:") and "r = 9" in err and "r <= 8" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from locdom.bipartite import census_pairs, connected_bipartite_graphs
 from locdom.families import complete_bipartite, cycle, path, star
 from locdom.graphs import VertexSet, build_graph, complement, connected_components
 from locdom.ld import (
+    _seal_index,
     is_distinguishing,
     is_dominating,
     is_ld_set,
@@ -15,7 +17,7 @@ from locdom.ld import (
     undominated_vertex,
 )
 
-from oracles import adj_sets, naive_codes, naive_is_ld, naive_lambda
+from oracles import adj_sets, ilp_lambda, naive_codes, naive_is_ld, naive_lambda
 
 
 def vs(*items):
@@ -87,6 +89,27 @@ def test_lambda_bounded_examples():
     assert found and size == 3
 
 
+def test_seal_index_is_the_transpose_of_the_seals():
+    """hits_of[x] and closed_at[i] against seal masks built from the definition:
+    seal u is N[u], seal n + u*n + v is {u, v} | (N(u) ^ N(v)) for u < v."""
+    rng = random.Random(89)
+    graphs = [build_graph(0, []), build_graph(1, [])]
+    graphs += [build_graph(n, list(combinations(range(n), 2))) for n in range(2, 13)]
+    graphs += [random_graph(rng, rng.randint(2, 12), rng.uniform(0.05, 0.95))
+               for _ in range(60)]
+    for g in graphs:
+        n = g.n
+        adj = adj_sets(n, g.edges())
+        seals = {u: {u} | adj[u] for u in range(n)}
+        seals.update({n + u * n + v: {u, v} | (adj[u] ^ adj[v])
+                      for u, v in combinations(range(n), 2)})
+        hits_of, closed_at, every = _seal_index([row.bits for row in g.adj])
+        assert every == sum(1 << b for b in seals)
+        assert hits_of == [sum(1 << b for b, m in seals.items() if x in m) for x in range(n)]
+        assert closed_at == [sum(1 << b for b, m in seals.items() if max(m) <= i)
+                             for i in range(n)]
+
+
 def test_ld_codes_examples():
     k23 = complete_bipartite(2, 3)
     codes = ld_codes(k23)
@@ -152,11 +175,27 @@ def test_solver_matches_naive_oracle_on_census_graphs():
 @pytest.mark.parametrize("family", [path, cycle])
 def test_lambda_bounded_on_long_paths_and_cycles(family):
     """Above the oracle cap: lambda(P_n) = lambda(C_n) = ceil(2n/5)."""
-    for n in range(21, 27):
+    for n in range(21, 31):
         g = family(n)
         lam = -(-2 * n // 5)
         res = lambda_bounded(g, lam)
         assert res.found and res.size == lam and is_ld_set(g, res.witness)
+        assert not lambda_bounded(g, lam - 1).found
+
+
+def test_lambda_bounded_matches_ilp_above_the_cap():
+    """Random graphs with n = 21..30, where the naive scan cannot reach: the
+    search finds a set of the ILP's size, it is an LD-set, and none smaller."""
+    pytest.importorskip("scipy.optimize", reason="the ILP oracle needs scipy's milp")
+    rng = random.Random(97)
+    for i in range(30):
+        n = 21 + i % 10
+        g = random_graph(rng, n, rng.uniform(0.12, 0.2))
+        edges = list(g.edges())
+        lam = ilp_lambda(n, edges)
+        res = lambda_bounded(g, lam)
+        assert res.found and res.size == lam
+        assert naive_is_ld(adj_sets(n, edges), set(res.witness.members()))
         assert not lambda_bounded(g, lam - 1).found
 
 
