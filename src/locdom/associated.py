@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import Graph, VertexSet
-from .ld import is_distinguishing
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class AssociatedGraph:
     k: int
 
     def trace(self, v: int) -> VertexSet:
-        return VertexSet(self.graph.adj[v].bits & self.s.bits)
+        return VertexSet(self.graph.adj[v] & self.s.bits)
 
     def edge_label(self, x: int, y: int) -> int | None:
         if x > y:
@@ -82,8 +81,8 @@ def build_associated(g: Graph, s: VertexSet) -> AssociatedGraph:
     """
     if not s.issubset(g.vertices()):
         raise ValueError("set contains vertices outside the graph")
-    outside = [v for v in range(g.n) if v not in s]
-    traces = {v: g.adj[v].bits & s.bits for v in outside}
+    outside = list(g.vertices() - s)
+    traces = {v: g.adj[v] & s.bits for v in outside}
     for i in range(len(outside)):
         for j in range(i + 1, len(outside)):
             x, y = outside[i], outside[j]
@@ -186,7 +185,7 @@ def component_trace_check(ls: LabelSubgraph) -> bool:
     rest = ag.s - ls.selected_labels
     for comp in ls.components:
         members = comp.members()
-        outline = {v: ag.graph.adj[v].bits & rest.bits for v in members}
+        outline = {v: ag.graph.adj[v] & rest.bits for v in members}
         low = min(members, key=lambda v: ag.level[v])
         if any(outline[v] != outline[low] for v in members):
             return False
@@ -270,9 +269,4 @@ def path_label_audit(ag: AssociatedGraph, path: list[int]) -> bool:
         labels.append(lab)
     if len(set(labels)) != len(labels):
         return False
-    for j in range(1, len(path)):
-        tr = ag.trace(path[j]).bits
-        for lab in labels[:j]:
-            if (tr >> lab) & 1 == 0:
-                return False
-    return True
+    return all(lab in ag.trace(path[j]) for j in range(1, len(path)) for lab in labels[:j])

@@ -21,6 +21,7 @@ from .graphs import (
     Bipartition,
     Graph,
     VertexSet,
+    _bits,
     bipartition,
     build_graph,
     complement,
@@ -67,7 +68,7 @@ def _validate_sides(g: Graph, bp: Bipartition) -> None:
         raise ValueError("bipartition sides must partition the vertex set")
     for side in (bp.U, bp.W):
         for v in side:
-            if g.adj[v].bits & side.bits:
+            if g.adj[v] & side.bits:
                 raise ValueError(f"side containing vertex {v} is not stable; input is not bipartite")
 
 
@@ -76,7 +77,7 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     _validate_sides(g, bp)
     u_side, w_side = bp.U, bp.W
     c1 = not twin_pairs(g, w_side)
-    c2 = any(g.adj[w].bits == u_side.bits for w in w_side)
+    c2 = any(g.adj[w] == u_side.bits for w in w_side)
     if not c1:
         return ConditionTriple(c1, c2, False, False)
     counts = label_multiplicity(build_associated(g, u_side))
@@ -88,7 +89,7 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
         pairs = 0
         for a in range(len(w_verts)):
             for b in range(a + 1, len(w_verts)):
-                if g.adj[w_verts[a]].bits & drop == g.adj[w_verts[b]].bits & drop:
+                if g.adj[w_verts[a]] & drop == g.adj[w_verts[b]] & drop:
                     pairs += 1
         if pairs < 2:
             c3_twin = False
@@ -106,6 +107,11 @@ def classify(g: Graph) -> ClassificationReport:
     bp = bipartition(g)
     if bp is None:
         raise ValueError("graph is not bipartite")
+    return _classify(g, bp)
+
+
+def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
+    """:func:`classify` for a graph whose sides ``bp`` are already known."""
     conds = condition_triple(g, bp)
     predicted = 3 <= bp.r < bp.s and conds.all_hold()
     sols = []
@@ -177,15 +183,10 @@ def _perm_tables(r: int) -> list[list[int]]:
         raise ValueError(f"relabeling tables stop at r <= {PERM_TABLE_MAX_R}, got r = {r}")
     tables = []
     for perm in permutations(range(r)):
-        table = [0] * (1 << r)
-        for m in range(1 << r):
-            t = 0
-            x = m
-            while x:
-                low = x & -x
-                t |= 1 << perm[low.bit_length() - 1]
-                x ^= low
-            table[m] = t
+        # masks with top bit i are those below it with bit perm[i] added
+        table = [0]
+        for i in range(r):
+            table += [t | 1 << perm[i] for t in table]
         tables.append(table)
     return tables
 
@@ -202,13 +203,7 @@ def canonical_traces(r: int, traces: tuple[int, ...]) -> tuple[int, ...]:
 
 def graph_from_traces(r: int, traces: tuple[int, ...]) -> Graph:
     """Bipartite graph with U = 0..r-1 and one s-side vertex per trace mask."""
-    edges = []
-    for wi, mask in enumerate(traces):
-        v = r + wi
-        while mask:
-            low = mask & -mask
-            edges.append((low.bit_length() - 1, v))
-            mask ^= low
+    edges = [(u, r + wi) for wi, mask in enumerate(traces) for u in _bits(mask)]
     return build_graph(r + len(traces), edges)
 
 
@@ -298,7 +293,9 @@ def census_pairs(max_n: int) -> list[tuple[int, int]]:
 def check_census_graph(r: int, s: int, traces: tuple[int, ...], g: Graph) -> CensusEntry:
     """Verify the characterization and its corollaries on census graph ``g``,
     the graph of ``traces``."""
-    report = classify(g)
+    # a connected graph has one pair of sides, and U = 0..r-1 is the smaller
+    u_side = VertexSet((1 << r) - 1)
+    report = _classify(g, Bipartition(u_side, g.vertices() - u_side, r, s))
     conds = report.conditions
     plus_one = report.relation == 1
     equivalence_ok = conds.all_hold() == plus_one

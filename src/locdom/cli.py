@@ -9,6 +9,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -220,7 +221,9 @@ def cmd_verify(args) -> int:
     return 1 if bad else 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     p = argparse.ArgumentParser(
         prog="locdom",
         description="Exact toolkit for locating-dominating sets, associated "

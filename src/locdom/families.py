@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _check_order, build_graph
 
 KINDS = ("path", "cycle", "star", "complete_bipartite", "bistar", "extremal", "banner")
 
@@ -155,12 +155,15 @@ def generate(spec: FamilySpec) -> Graph:
 def _need_n(spec: FamilySpec) -> int:
     if spec.n is None:
         raise ValueError(f"family {spec.kind!r} requires parameter n")
+    _check_order(spec.n)
     return spec.n
 
 
 def _need_rs(spec: FamilySpec) -> tuple[int, int]:
     if spec.r is None or spec.s is None:
         raise ValueError(f"family {spec.kind!r} requires parameters r and s")
+    # r alone bounds 2**r in the extremal window check, even when s is negative
+    _check_order(max(spec.r, spec.s, spec.r + spec.s))
     return spec.r, spec.s
 
 

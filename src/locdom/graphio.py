@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .associated import AssociatedGraph
-from .graphs import Graph, build_graph
+from .graphs import Graph, _check_order, build_graph
 
 HEADER = ">>graph6<<"
 
@@ -100,7 +100,7 @@ def to_graph6(g: Graph) -> str:
         head = [63, 63] + [(n >> (6 * k)) & 63 for k in range(5, -1, -1)]
     bits = []
     for j in range(1, n):
-        row = g.adj[j].bits
+        row = g.adj[j]
         for i in range(j):
             bits.append((row >> i) & 1)
     vals = []
@@ -128,6 +128,7 @@ def parse_edge_list(text: str) -> Graph:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
+            _check_order(header[0])
             expect = header[1]
             continue
         if len(parts) != 2:

@@ -1,14 +1,34 @@
 """Immutable graph substrate: vertex sets, graphs, bipartitions, twins, components.
 
-Vertices are dense 0-based indices.  Adjacency rows and all vertex sets are
-bitmasks wrapped in :class:`VertexSet`, which makes neighborhood-trace
-comparisons O(1) and keeps every value hashable and shareable.
+Vertices are dense 0-based indices, and every set of them is a bitmask with
+bit v for vertex v.  Adjacency rows are plain int masks, so a trace inside a
+set S is one AND of a row with S's mask.  Every set a public function takes
+or returns is a :class:`VertexSet`, the hashable wrapper around such a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+
+# The largest vertex count accepted.  It is far above any order the exact
+# search can finish, and it is checked before anything of that length is
+# built, so an input that declares a huge order fails with a message.
+MAX_ORDER = 1 << 16
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the largest supported order {MAX_ORDER}")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -21,8 +41,8 @@ class VertexSet:
     def of(cls, items: Iterable[int]) -> "VertexSet":
         m = 0
         for v in items:
-            if v < 0:
-                raise ValueError(f"vertex index must be nonnegative, got {v}")
+            if not 0 <= v < MAX_ORDER:
+                raise ValueError(f"vertex index must be in [0, {MAX_ORDER}), got {v}")
             m |= 1 << v
         return cls(m)
 
@@ -34,12 +54,7 @@ class VertexSet:
         return v >= 0 and (self.bits >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        # ascending index order
-        b = self.bits
-        while b:
-            low = b & -b
-            yield low.bit_length() - 1
-            b ^= low
+        return _bits(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -79,27 +94,28 @@ class VertexSet:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``adj[i]`` is the open neighborhood N(i) as a :class:`VertexSet`.
-    Rows are symmetric and irreflexive; use :func:`build_graph` to construct.
+    ``adj[i]`` is the open neighborhood N(i) as an int mask with bit j set
+    for each neighbor j.  Rows are symmetric and irreflexive; use
+    :func:`build_graph` to construct.
     """
 
     n: int
-    adj: tuple[VertexSet, ...]
+    adj: tuple[int, ...]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj[v].bit_count()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
+        return j >= 0 and (self.adj[i] >> j) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            for j in self.adj[i]:
+        for i, row in enumerate(self.adj):
+            for j in _bits(row):
                 if j > i:
                     yield (i, j)
 
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def vertices(self) -> VertexSet:
         return VertexSet((1 << self.n) - 1)
@@ -131,6 +147,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    _check_order(n)
     rows = [0] * n
     for i, j in edges:
         if i == j:
@@ -139,16 +156,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(VertexSet(r) for r in rows))
+    return Graph(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph: ij is an edge iff it is not an edge of g (i != j)."""
     full = (1 << g.n) - 1
-    rows = []
-    for i in range(g.n):
-        rows.append(VertexSet(full & ~g.adj[i].bits & ~(1 << i)))
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.adj)))
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
@@ -162,11 +176,8 @@ def connected_components(g: Graph) -> list[VertexSet]:
         frontier = 1 << start
         while frontier:
             nxt = 0
-            b = frontier
-            while b:
-                low = b & -b
-                nxt |= g.adj[low.bit_length() - 1].bits
-                b ^= low
+            for v in _bits(frontier):
+                nxt |= g.adj[v]
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
@@ -193,7 +204,7 @@ def bipartition(g: Graph) -> Bipartition | None:
     queue = [0]
     odd = False
     for v in queue:
-        for w in g.adj[v]:
+        for w in _bits(g.adj[v]):
             if color[w] == -1:
                 color[w] = 1 - color[v]
                 queue.append(w)
@@ -203,8 +214,8 @@ def bipartition(g: Graph) -> Bipartition | None:
         raise ValueError("graph is not connected; split into components first")
     if odd:
         return None
-    side0 = VertexSet.of(v for v in range(g.n) if color[v] == 0)
-    side1 = VertexSet.of(v for v in range(g.n) if color[v] == 1)
+    side0 = VertexSet.of(v for v in queue if color[v] == 0)
+    side1 = g.vertices() - side0
     if len(side0) > len(side1):
         side0, side1 = side1, side0
     # tie-break: vertex 0 always has color 0, so side0 already contains it
@@ -225,10 +236,10 @@ def twin_pairs(g: Graph, restrict: VertexSet | None = None) -> list[TwinPair]:
     out = []
     for a in range(len(verts)):
         u = verts[a]
-        nu = g.adj[u].bits
+        nu = g.adj[u]
         for b in range(a + 1, len(verts)):
             v = verts[b]
-            nv = g.adj[v].bits
+            nv = g.adj[v]
             if nu == nv:
                 out.append(TwinPair(u, v, "open"))
             elif nu | (1 << u) == nv | (1 << v):
@@ -247,10 +258,9 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, list[int]]:
     rows = []
     for v in old:
         m = 0
-        for w in g.adj[v]:
-            if w in keep:
-                m |= 1 << pos[w]
-        rows.append(VertexSet(m))
+        for w in _bits(g.adj[v] & keep.bits):
+            m |= 1 << pos[w]
+        rows.append(m)
     return Graph(len(old), tuple(rows)), list(old)
 
 

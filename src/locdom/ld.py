@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, VertexSet, connected_components, induced_subgraph
+from .graphs import Graph, VertexSet, _bits, connected_components, induced_subgraph
 
 ORACLE_CAP = 20
 
@@ -48,13 +48,7 @@ class BoundedResult(NamedTuple):
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex outside s has a neighbor in s."""
-    rest = ((1 << g.n) - 1) & ~s.bits
-    while rest:
-        low = rest & -rest
-        if g.adj[low.bit_length() - 1].bits & s.bits == 0:
-            return False
-        rest ^= low
-    return True
+    return all(g.adj[v] & s.bits for v in _bits(((1 << g.n) - 1) & ~s.bits))
 
 
 def is_distinguishing(g: Graph, s: VertexSet) -> bool:
@@ -64,14 +58,11 @@ def is_distinguishing(g: Graph, s: VertexSet) -> bool:
     not distinguished.
     """
     seen = set()
-    rest = ((1 << g.n) - 1) & ~s.bits
-    while rest:
-        low = rest & -rest
-        t = g.adj[low.bit_length() - 1].bits & s.bits
+    for v in _bits(((1 << g.n) - 1) & ~s.bits):
+        t = g.adj[v] & s.bits
         if t in seen:
             return False
         seen.add(t)
-        rest ^= low
     return True
 
 
@@ -88,7 +79,7 @@ def undominated_vertex(g: Graph, s: VertexSet) -> int | None:
     """
     if not is_distinguishing(g, s):
         raise ValueError("undominated_vertex requires a distinguishing set")
-    hits = [v for v in range(g.n) if v not in s and g.adj[v].bits & s.bits == 0]
+    hits = [v for v in g.vertices() - s if g.adj[v] & s.bits == 0]
     if len(hits) > 1:
         raise ValueError(f"two undominated vertices {hits[:2]} under a distinguishing set")
     return hits[0] if hits else None
@@ -116,28 +107,12 @@ def lambda_bruteforce(g: Graph, enumerate_all: bool = False) -> LDReport:
 
 
 def _unmap(mask: int, old: list[int]) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << old[i]
-        mask >>= 1
-        i += 1
-    return out
+    return sum(1 << old[i] for i in _bits(mask))
 
 
 def sorted_codes(masks: list[int]) -> list[int]:
     """Sort set masks by their ascending member tuples (lexicographic)."""
-    return sorted(masks, key=_mask_key)
-
-
-def _mask_key(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return sorted(masks, key=lambda m: tuple(_bits(m)))
 
 
 def ld_codes(g: Graph) -> list[VertexSet]:
@@ -209,7 +184,7 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
     LD-set exactly when ``met == every``.
     """
     n = g.n
-    hits_of, closed_at, every = _seal_index([row.bits for row in g.adj])
+    hits_of, closed_at, every = _seal_index(g.adj)
     hits: list[int] = []
 
     def walk(i: int, met: int, chosen: int, size: int) -> bool:
@@ -245,7 +220,7 @@ def _seal_layout(n: int) -> tuple[list[int], int, int, int]:
     return block, sum(block), above, full | above
 
 
-def _seal_index(adj_bits: list[int]) -> tuple[list[int], list[int], int]:
+def _seal_index(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
     """(hits_of, closed_at, every) for the graph with these neighbourhood masks.
 
     Seals are numbered in a fixed layout: bit u is N[u], and bit n + u*n + v
@@ -254,17 +229,12 @@ def _seal_index(adj_bits: list[int]) -> tuple[list[int], list[int], int]:
     the v with u in N(x) xor v in N(x), plus v == x and all of x's own block.
     ``closed_at[i]`` holds the seals with no member above i.
     """
-    n = len(adj_bits)
+    n = len(adj)
     block, rep, above, every = _seal_layout(n)
     full = (1 << n) - 1
     hits_of = []
-    for x, nbrs in enumerate(adj_bits):
-        spread = 0
-        rest = nbrs
-        while rest:
-            low = rest & -rest
-            spread |= block[low.bit_length() - 1]
-            rest ^= low
+    for x, nbrs in enumerate(adj):
+        spread = sum(block[v] for v in _bits(nbrs))
         pairs = (nbrs * rep) ^ (spread * full) | rep << x | full << (n + x * n)
         hits_of.append(nbrs | 1 << x | above & pairs)
     closed_at = [0] * n

@@ -189,7 +189,7 @@ def test_c8_labeled_subgraph_reconstruction():
     assert cyc_verts == {5, 6, 7, 8}
     rest = s - VertexSet.of((0, 1))
     shared = {
-        comp.members(): {VertexSet(g.adj[v].bits & rest.bits).members() for v in comp}
+        comp.members(): {VertexSet(g.adj[v] & rest.bits).members() for v in comp}
         for comp in ls.components
     }
     assert shared == {

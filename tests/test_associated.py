@@ -133,7 +133,7 @@ def test_component_traces_gadget(gadget):
     rest = s - vs(0, 1)
     expected = {(5, 6, 7, 8): (2, 3), (9, 10): (2,), (11, 12): (3, 4)}
     for comp in ls.components:
-        common = {VertexSet(g.adj[v].bits & rest.bits).members() for v in comp}
+        common = {VertexSet(g.adj[v] & rest.bits).members() for v in comp}
         assert common == {expected[comp.members()]}
 
 

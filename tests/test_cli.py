@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import pytest
@@ -142,6 +143,32 @@ def test_census_beyond_the_relabeling_tables_is_a_usage_error(capsys, monkeypatc
     assert code == 2 and out == ""
     assert err.startswith("locdom: error:") and "r = 9" in err and "r <= 8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["lambda", "-"], f"{10**12} 0\n", f"order {10**12} exceeds"),
+    (["classify", "-"], f"{10**12} 1\n0 1\n", f"order {10**12} exceeds"),
+    (["family", "path", "--n", str(10**12)], "", f"order {10**12} exceeds"),
+    (["family", "complete_bipartite", "--r", "3", "--s", str(10**12)], "",
+     f"order {10**12 + 3} exceeds"),
+    (["assoc", "-", "--set", str(10**12)], "3 0\n", f"vertex indices, got '{10**12}'"),
+])
+def test_huge_order_is_refused_before_allocation(argv, stdin, message):
+    """An order of 10**12 exits 2 with a message, in a child capped at 1 GiB of
+    address space, so a list of that length would end it with MemoryError."""
+    import resource
+    import subprocess
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(bipartite.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "locdom.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, preexec_fn=cap)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("locdom: error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_lambda_over_cap_names_the_bounded_option(tmp_path, capsys):

@@ -2,13 +2,17 @@ import random
 
 import pytest
 
+from locdom.bipartite import graph_from_traces
 from locdom.families import complete_bipartite, cycle, path, star
+from locdom.graphio import parse_graph6
 from locdom.graphs import (
     VertexSet,
+    _bits,
     bipartition,
     build_graph,
     complement,
     connected_components,
+    delete_vertex,
     induced_subgraph,
     is_connected,
     twin_pairs,
@@ -118,7 +122,7 @@ def test_bipartition_sides_are_stable_random():
             continue
         found += 1
         for side in (bp.U, bp.W):
-            assert not any(j in side for i in side for j in g.adj[i])
+            assert not any(g.adj[i] & side.bits for i in side)
 
 
 def test_twin_pairs_examples():
@@ -175,9 +179,53 @@ def test_induced_subgraph_keeps_order():
 
 
 def test_delete_vertex():
-    from locdom.graphs import delete_vertex
     sub, old = delete_vertex(path(4), 1)
     assert old == [0, 2, 3]
     assert sorted(sub.edges()) == [(1, 2)]  # the old 2-3 edge survives
     with pytest.raises(ValueError, match="out of range"):
         delete_vertex(path(4), 9)
+
+
+def _assert_rows_match(g, nxg):
+    """g's rows are ints, each the mask of the matching networkx neighbourhood."""
+    assert all(type(row) is int for row in g.adj)
+    assert list(g.adj) == [sum(1 << w for w in nxg[v]) for v in range(nxg.number_of_nodes())]
+    for i in range(g.n):
+        assert g.has_edge(i, -1) is False
+        assert [g.has_edge(i, j) for j in range(g.n)] == [nxg.has_edge(i, j) for j in range(g.n)]
+
+
+def test_rows_are_int_masks_of_the_networkx_neighbourhoods():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        nxg = nx.empty_graph(n)
+        nxg.add_edges_from(edges)
+        g = build_graph(n, edges)
+        _assert_rows_match(g, nxg)
+        _assert_rows_match(complement(g), nx.complement(nxg))
+        keep = [v for v in range(n) if rng.random() < 0.6]
+        sub, _ = induced_subgraph(g, VertexSet.of(keep))
+        _assert_rows_match(sub, nx.convert_node_labels_to_integers(
+            nxg.subgraph(keep), ordering="sorted"))
+        u = rng.randrange(n)
+        rest = [v for v in range(n) if v != u]
+        _assert_rows_match(delete_vertex(g, u)[0], nx.convert_node_labels_to_integers(
+            nxg.subgraph(rest), ordering="sorted"))
+        g6 = nx.to_graph6_bytes(nxg, header=False).decode("ascii")
+        _assert_rows_match(parse_graph6(g6), nxg)
+    for _ in range(20):
+        r = rng.randint(1, 5)
+        traces = [rng.randrange(1, 1 << r) for _ in range(rng.randint(1, 8))]
+        nxg = nx.empty_graph(r + len(traces))
+        nxg.add_edges_from((u, r + wi) for wi, m in enumerate(traces)
+                           for u in range(r) if m >> u & 1)
+        _assert_rows_match(graph_from_traces(r, tuple(traces)), nxg)
+
+
+def test_bits_lists_set_bits_ascending():
+    rng = random.Random(44)
+    for m in [0, 1, 2, 3, 1 << 70, (1 << 70) | 5] + [rng.getrandbits(rng.randint(1, 90))
+                                                    for _ in range(200)]:
+        assert list(_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]

@@ -103,7 +103,7 @@ def test_seal_index_is_the_transpose_of_the_seals():
         seals = {u: {u} | adj[u] for u in range(n)}
         seals.update({n + u * n + v: {u, v} | (adj[u] ^ adj[v])
                       for u, v in combinations(range(n), 2)})
-        hits_of, closed_at, every = _seal_index([row.bits for row in g.adj])
+        hits_of, closed_at, every = _seal_index(g.adj)
         assert every == sum(1 << b for b in seals)
         assert hits_of == [sum(1 << b for b, m in seals.items() if x in m) for x in range(n)]
         assert closed_at == [sum(1 << b for b, m in seals.items() if max(m) <= i)
@@ -224,7 +224,7 @@ def test_ld_set_transfer_properties():
         gbar = complement(g)
         assert is_ld_set(gbar, s) == is_dominating(gbar, s)
         full_trace = [u for u in range(n) if u not in s
-                      and g.adj[u].bits & s.bits == s.bits]
+                      and g.adj[u] & s.bits == s.bits]
         assert len(full_trace) <= 1
         # transfer fails exactly when some outside vertex sees all of S
         assert is_ld_set(gbar, s) == (not full_trace)
