@@ -115,16 +115,20 @@ def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
     conds = condition_triple(g, bp)
     predicted = 3 <= bp.r < bp.s and conds.all_hold()
     sols = []
+    floor = 0
     for h in (g, complement(g)):
         if g.n <= ORACLE_CAP:
-            rep = lambda_bruteforce(h)
+            rep = lambda_bruteforce(h, floor=floor)
             sols.append((rep.lam, rep.witness))
         else:
-            res = lambda_bounded(h, bp.r + 1)
+            res = lambda_bounded(h, bp.r + 1, floor=floor)
             if not res.found:
                 return ClassificationReport(bp.r, bp.s, None, None, None, conds,
                                             predicted, None, None, partial=True)
             sols.append((res.size, res.witness))
+        # an LD-set of the complement plus its one undominated vertex is an
+        # LD-set of g, so lambda(complement) >= lambda(g) - 1
+        floor = max(sols[0][0] - 1, 0)
     (lam_g, wit_g), (lam_gb, wit_gb) = sols
     return ClassificationReport(bp.r, bp.s, lam_g, lam_gb, lam_gb - lam_g, conds,
                                 predicted, wit_g, wit_gb)

@@ -111,7 +111,9 @@ def extremal(r: int, s: int) -> ExtremalWitness:
 
     if not feasibility_window(r, s):
         lo = -(-3 * r // 2) + 1
-        raise ValueError(f"s={s} outside the feasibility window [{lo}, {2**r - 1}] for r={r}")
+        # 2^r - 1 stays symbolic: for r above about 14,000 it has more digits
+        # than Python formats
+        raise ValueError(f"s={s} outside the feasibility window [{lo}, 2^{r} - 1] for r={r}")
     subsets = base_subsets(r)
     have = set(subsets)
     for c in range(1, r + 1):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from locdom import suites
 from locdom.bipartite import (
     canonical_traces,
     census_pairs,
@@ -232,3 +233,32 @@ def test_small_sides_never_gain_beyond_k2():
         if classify(g).relation == 1:
             plus_ones.append(g)
     assert len(plus_ones) == 1 and plus_ones[0].n == 2
+
+
+def test_classify_complement_matches_naive_oracle():
+    """classify starts the complement's search at lambda(G) - 1; on every census
+    graph with n <= 8 its value and witness equal the naive scan's."""
+    checked = 0
+    for r, s in census_pairs(8):
+        for _, g in connected_bipartite_graphs(r, s):
+            rep = classify(g)
+            h = complement(g)
+            lam, wit = naive_lambda(h.n, list(h.edges()))
+            assert (rep.lambda_gbar, rep.witness_gbar.members()) == (lam, wit)
+            checked += 1
+    assert checked == 110
+
+
+def test_theorem_suites_call_the_solver_without_a_floor(monkeypatch):
+    """thm3 checks |lambda(G) - lambda(complement)| <= 1, the inequality behind
+    classify's floor, so its solves must not assume it."""
+    calls = []
+
+    def spy(g, *args, **kwargs):
+        calls.append(kwargs)
+        return lambda_bruteforce(g, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "lambda_bruteforce", spy)
+    assert suites.thm3_suite()[1] == []
+    assert suites.table1_suite(max_pc=8, max_star=6, max_kb=6, max_bistar=4)[1] == []
+    assert len(calls) > 2000 and all("floor" not in kw for kw in calls)

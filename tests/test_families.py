@@ -1,6 +1,7 @@
 import pytest
 
 from locdom.bipartite import bipartition, condition_triple
+from locdom.cli import main
 from locdom.families import (
     FamilySpec,
     banner,
@@ -35,8 +36,18 @@ def test_generate_rejects_bad_parameters():
         generate(FamilySpec("path"))
     with pytest.raises(ValueError, match="unknown family"):
         generate(FamilySpec("wheel", n=5))
-    with pytest.raises(ValueError, match="feasibility window"):
+    with pytest.raises(ValueError, match=r"feasibility window \[6, 2\^3 - 1\] for r=3"):
         extremal(3, 8)
+
+
+def test_extremal_window_message_for_huge_r(capsys):
+    """2^r - 1 has about 6,000 digits at r = 20000, more than Python formats."""
+    with pytest.raises(ValueError, match=r"s=5 outside the feasibility window "
+                                         r"\[30001, 2\^20000 - 1\] for r=20000"):
+        extremal(20000, 5)
+    assert main(["family", "extremal", "--r", "20000", "--s", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "[30001, 2^20000 - 1] for r=20000" in err and "digits" not in err
 
 
 def test_bistar_shape():

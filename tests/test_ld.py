@@ -7,6 +7,7 @@ from locdom.bipartite import census_pairs, connected_bipartite_graphs
 from locdom.families import complete_bipartite, cycle, path, star
 from locdom.graphs import VertexSet, build_graph, complement, connected_components
 from locdom.ld import (
+    _floor,
     _seal_index,
     is_distinguishing,
     is_dominating,
@@ -16,6 +17,7 @@ from locdom.ld import (
     ld_codes,
     undominated_vertex,
 )
+from locdom.suites import connected_atlas_graphs
 
 from oracles import adj_sets, ilp_lambda, naive_codes, naive_is_ld, naive_lambda
 
@@ -87,6 +89,47 @@ def test_lambda_bounded_examples():
     assert not lambda_bounded(star(5), 2).found
     found, size, _ = lambda_bounded(complement(path(7)), 3)
     assert found and size == 3
+
+
+def test_floor_is_a_lower_bound():
+    """Every connected graph with n <= 7, its complement, and random graphs."""
+    rng = random.Random(101)
+    graphs = [h for g in connected_atlas_graphs(7) for h in (g, complement(g))]
+    graphs += [random_graph(rng, rng.randint(0, 12), rng.uniform(0.05, 0.95))
+               for _ in range(300)]
+    for g in graphs:
+        assert _floor(g.adj) <= naive_lambda(g.n, list(g.edges()))[0]
+
+
+@pytest.mark.parametrize("family", [path, cycle])
+def test_floor_is_tight_on_paths_cycles_and_their_complements(family):
+    for n in range(7, 41):
+        g = family(n)
+        assert _floor(g.adj) == -(-2 * n // 5)
+        assert _floor(complement(g).adj) == -(-(2 * n - 2) // 5)
+
+
+def test_floor_outside_the_order_is_refused():
+    g = path(5)
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match=r"floor must be in \[0, 5\]"):
+            lambda_bruteforce(g, floor=bad)
+        with pytest.raises(ValueError, match=r"floor must be in \[0, 5\]"):
+            lambda_bounded(g, 3, floor=bad)
+
+
+def test_any_proven_floor_leaves_the_answer_unchanged():
+    """floor = 0..lambda, on graphs that are often disconnected, where the floor
+    bounds the last component once the others are solved."""
+    rng = random.Random(103)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.4))
+        rep = lambda_bruteforce(g, enumerate_all=True)
+        for floor in range(rep.lam + 1):
+            assert lambda_bruteforce(g, enumerate_all=True, floor=floor) == rep
+            for kmax in range(floor, n + 1):
+                assert lambda_bounded(g, kmax, floor=floor) == lambda_bounded(g, kmax)
 
 
 def test_seal_index_is_the_transpose_of_the_seals():
