@@ -42,7 +42,6 @@ from .families import (
 )
 from .graphio import (
     Graph6Error,
-    GraphDocument,
     export_dot,
     parse_documents,
     parse_edge_list,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .associated import build_associated, label_multiplicity
 from .graphs import (
@@ -72,6 +72,13 @@ def _validate_sides(g: Graph, bp: Bipartition) -> None:
                 raise ValueError(f"side containing vertex {v} is not stable; input is not bipartite")
 
 
+def _sides(g: Graph) -> Bipartition:
+    bp = bipartition(g)
+    if bp is None:
+        raise ValueError("graph is not bipartite")
+    return bp
+
+
 def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     """Evaluate the characterization conditions for a connected bipartite graph."""
     _validate_sides(g, bp)
@@ -82,18 +89,12 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
         return ConditionTriple(c1, c2, False, False)
     counts = label_multiplicity(build_associated(g, u_side))
     c3 = all(counts[u] >= 2 for u in u_side)
-    c3_twin = True
-    w_verts = w_side.members()
-    for u in u_side:
-        drop = ~(1 << u)
-        pairs = 0
-        for a in range(len(w_verts)):
-            for b in range(a + 1, len(w_verts)):
-                if g.adj[w_verts[a]] & drop == g.adj[w_verts[b]] & drop:
-                    pairs += 1
-        if pairs < 2:
-            c3_twin = False
-            break
+    # c1 holds, so W's rows are distinct and clearing bit u can only merge
+    # them in pairs: each row lost from the set is one twin pair of G - u
+    w_rows = [g.adj[w] for w in w_side]
+    c3_twin = all(
+        len(w_rows) - len({row & ~(1 << u) for row in w_rows}) >= 2 for u in u_side
+    )
     return ConditionTriple(c1, c2, c3, c3_twin)
 
 
@@ -104,10 +105,7 @@ def classify(g: Graph) -> ClassificationReport:
     asks for LD-sets of size at most r+1, and the report is marked partial
     when either graph has none.
     """
-    bp = bipartition(g)
-    if bp is None:
-        raise ValueError("graph is not bipartite")
-    return _classify(g, bp)
+    return _classify(g, _sides(g))
 
 
 def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
@@ -143,9 +141,7 @@ def feasibility_window(r: int, s: int) -> bool:
 
 def corollary16_audit(g: Graph) -> bool:
     """For a plus-one graph: 3 <= r < s <= 2^r - 1 and U is the unique minimum LD-set."""
-    bp = bipartition(g)
-    if bp is None:
-        raise ValueError("graph is not bipartite")
+    bp = _sides(g)
     if not (3 <= bp.r < bp.s <= 2**bp.r - 1):
         return False
     return ld_codes(g) == [bp.U]
@@ -157,9 +153,7 @@ def lemma13_audit(g: Graph, code: VertexSet) -> bool:
     Vacuously true when no trigger applies.  Raises when ``code`` is not a
     minimum LD-set of g.
     """
-    bp = bipartition(g)
-    if bp is None:
-        raise ValueError("graph is not bipartite")
+    bp = _sides(g)
     rep = lambda_bruteforce(g)
     if len(code) != rep.lam or not is_ld_set(g, code):
         raise ValueError("code is not a minimum LD-set of the graph")
@@ -205,7 +199,7 @@ def canonical_traces(r: int, traces: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def graph_from_traces(r: int, traces: tuple[int, ...]) -> Graph:
+def graph_from_traces(r: int, traces: Sequence[int]) -> Graph:
     """Bipartite graph with U = 0..r-1 and one s-side vertex per trace mask."""
     edges = [(u, r + wi) for wi, mask in enumerate(traces) for u in _bits(mask)]
     return build_graph(r + len(traces), edges)
@@ -321,6 +315,8 @@ def run_census(max_n: int, jobs: int = 1) -> list[CensusEntry]:
     exact values only up to that order.  So are orders that reach a small
     side above ``PERM_TABLE_MAX_R``, whose relabeling tables do not fit.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if max_n > ORACLE_CAP:
         raise ValueError(f"census order {max_n} exceeds the exact solver's cap "
                          f"of {ORACLE_CAP} vertices")

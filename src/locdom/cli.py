@@ -18,7 +18,7 @@ from . import suites
 from .associated import build_associated, cactus_stats, component_trace_check, \
     label_multiplicity, label_subgraph
 from .bipartite import ClassificationReport, classify, run_census
-from .families import FamilySpec, generate
+from .families import KINDS, FamilySpec, generate
 from .graphio import export_dot, parse_documents, to_edge_list, to_graph6
 from .graphs import Graph, VertexSet
 from .ld import LDReport, lambda_bounded, lambda_bruteforce
@@ -34,7 +34,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_graphs(path: str) -> list[Graph]:
-    return [doc.graph for doc in parse_documents(_read_text(path))]
+    return parse_documents(_read_text(path))
 
 
 def _write_json(obj, fh) -> None:
@@ -111,7 +111,7 @@ def cmd_assoc(args) -> int:
     ag = build_associated(graphs[0], _parse_vertex_list(args.set))
     report = {
         "n": graphs[0].n,
-        "set": list(_parse_vertex_list(args.set)),
+        "set": list(ag.s),
         "k": ag.k,
         "vertices": list(ag.vertices),
         "levels": [[v, ag.level[v]] for v in ag.vertices],
@@ -233,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lam = sub.add_parser("lambda", help="minimum LD-set size of each input graph")
     lam.add_argument("file", help="graph file (graph6 or edge list), or - for stdin")
-    lam.add_argument("--all-codes", action="store_true", help="enumerate every minimum LD-set")
-    lam.add_argument("--bounded", type=int, metavar="K", default=None,
+    mode = lam.add_mutually_exclusive_group()
+    mode.add_argument("--all-codes", action="store_true", help="enumerate every minimum LD-set")
+    mode.add_argument("--bounded", type=int, metavar="K", default=None,
                      help="bounded search: decide existence of an LD-set of size <= K")
     lam.set_defaults(func=cmd_lambda)
 
@@ -253,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     asc.set_defaults(func=cmd_assoc)
 
     fam = sub.add_parser("family", help="generate a named family graph")
-    fam.add_argument("kind", choices=["path", "cycle", "star", "complete_bipartite",
-                                      "bistar", "extremal", "banner"])
+    fam.add_argument("kind", choices=KINDS)
     fam.add_argument("--n", type=int, default=None)
     fam.add_argument("--r", type=int, default=None)
     fam.add_argument("--s", type=int, default=None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .bipartite import feasibility_window, graph_from_traces
 from .graphs import Graph, _check_order, build_graph
 
 KINDS = ("path", "cycle", "star", "complete_bipartite", "bistar", "extremal", "banner")
@@ -65,7 +66,7 @@ def star(n: int) -> Graph:
 def complete_bipartite(r: int, s: int) -> Graph:
     if r < 1 or s < 1:
         raise ValueError(f"complete bipartite needs r, s >= 1, got ({r}, {s})")
-    return build_graph(r + s, [(i, r + j) for i in range(r) for j in range(s)])
+    return graph_from_traces(r, [(1 << r) - 1] * s)
 
 
 def bistar(r: int, s: int) -> Graph:
@@ -107,8 +108,6 @@ def extremal(r: int, s: int) -> ExtremalWitness:
     lexicographic order; any choice preserves the three characterization
     conditions, so a canonical one keeps outputs reproducible.
     """
-    from .bipartite import feasibility_window
-
     if not feasibility_window(r, s):
         lo = -(-3 * r // 2) + 1
         # 2^r - 1 stays symbolic: for r above about 14,000 it has more digits
@@ -126,11 +125,8 @@ def extremal(r: int, s: int) -> ExtremalWitness:
                 subsets.append(combo)
                 have.add(combo)
     assert len(subsets) == s and len(have) == s, "extension subsets must stay distinct"
-    edges = []
-    for wi, w in enumerate(subsets):
-        for u in w:
-            edges.append((u - 1, r + wi))
-    return ExtremalWitness(r, s, tuple(subsets), build_graph(r + s, edges))
+    traces = [sum(1 << (u - 1) for u in w) for w in subsets]
+    return ExtremalWitness(r, s, tuple(subsets), graph_from_traces(r, traces))
 
 
 def generate(spec: FamilySpec) -> Graph:

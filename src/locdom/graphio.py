@@ -8,8 +8,6 @@ bytes beyond).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .associated import AssociatedGraph
 from .graphs import Graph, _check_order, build_graph
 
@@ -24,15 +22,6 @@ class Graph6Error(ValueError):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    """A parsed graph together with its source format and optional name."""
-
-    fmt: str
-    graph: Graph
-    name: str | None = None
 
 
 def _vals(text: str, start: int) -> list[int]:
@@ -174,17 +163,11 @@ def sniff_format(text: str) -> str:
     raise ValueError("empty graph input")
 
 
-def parse_documents(text: str, name: str | None = None) -> list[GraphDocument]:
-    """Parse input text into graph documents (one per graph6 line, or one edge list)."""
-    fmt = sniff_format(text)
-    if fmt == "edge-list":
-        return [GraphDocument(fmt, parse_edge_list(text), name)]
-    docs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line:
-            docs.append(GraphDocument(fmt, parse_graph6(line), name))
-    return docs
+def parse_documents(text: str) -> list[Graph]:
+    """Parse input text into its graphs: one per graph6 line, or the one edge list."""
+    if sniff_format(text) == "edge-list":
+        return [parse_edge_list(text)]
+    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
 def _trace_name(ag: AssociatedGraph, v: int) -> str:

@@ -165,6 +165,21 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.adj)))
 
 
+def _layers(adj: tuple[int, ...], start: int) -> list[int]:
+    """Breadth-first layers from ``start`` as disjoint masks, by distance."""
+    layers = [1 << start]
+    seen = frontier = 1 << start
+    while True:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(frontier)
+
+
 def connected_components(g: Graph) -> list[VertexSet]:
     """Partition of V into maximal connected pieces, ordered by smallest member."""
     seen = 0
@@ -172,14 +187,7 @@ def connected_components(g: Graph) -> list[VertexSet]:
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= frontier
+        comp = sum(_layers(g.adj, start))  # disjoint masks, so + is |
         seen |= comp
         out.append(VertexSet(comp))
     return out
@@ -199,26 +207,18 @@ def bipartition(g: Graph) -> Bipartition | None:
     """
     if g.n == 0:
         raise ValueError("graph is not connected: it has no vertices")
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    odd = False
-    for v in queue:
-        for w in _bits(g.adj[v]):
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                odd = True
-    if len(queue) < g.n:
+    layers = _layers(g.adj, 0)
+    if sum(layers) != (1 << g.n) - 1:
         raise ValueError("graph is not connected; split into components first")
-    if odd:
+    # breadth-first edges join one layer or two adjacent ones, so the layers
+    # alternate sides unless some row meets its own layer: an odd cycle
+    if any(g.adj[v] & layer for layer in layers for v in _bits(layer)):
         return None
-    side0 = VertexSet.of(v for v in queue if color[v] == 0)
+    side0 = VertexSet(sum(layers[::2]))
     side1 = g.vertices() - side0
     if len(side0) > len(side1):
         side0, side1 = side1, side0
-    # tie-break: vertex 0 always has color 0, so side0 already contains it
+    # tie-break: vertex 0 is layer 0, so side0 already contains it
     return Bipartition(side0, side1, len(side0), len(side1))
 
 

@@ -6,7 +6,9 @@ networkx), deliberately avoiding the bitmask/pruning code paths under test.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial, gcd
 
 import networkx as nx
 
@@ -103,6 +105,75 @@ def filtered_census_traces(r: int, s: int) -> list[tuple[int, ...]]:
         G.add_edges_from((u, r + i) for i, m in enumerate(traces) for u in range(r) if m >> u & 1)
         if nx.is_connected(G):
             out.append(traces)
+    return out
+
+
+def _partitions(n: int, top: int):
+    """Partitions of n into parts of at most ``top``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, top), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _z(parts: tuple[int, ...]) -> int:
+    """Order of the centralizer of a permutation with these cycle lengths."""
+    out = 1
+    for k in set(parts):
+        m = parts.count(k)
+        out *= k**m * factorial(m)
+    return out
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def bicolored_connected_counts(max_n: int) -> dict[tuple[int, int], int]:
+    """Connected bicoloured graphs with r vertices of one colour and s of the
+    other, up to colour-preserving isomorphism, for every 1 <= r + s <= max_n.
+
+    Burnside over S_r x S_s acting on the r*s possible edges counts all
+    bicoloured graphs: B(r, s) = sum over cycle types l of r and m of s of
+    2^(sum gcd(l_i, m_j)) / (z_l z_m).  Since B = exp(sum_k C(x^k, y^k) / k),
+    the connected counts are C(r, s) = sum over k dividing gcd(r, s) of
+    mu(k) / k * L(r/k, s/k) with L = log B (Harary and Palmer, Graphical
+    Enumeration, 1973; OEIS A028657).  For r != s a connected bipartite graph
+    has one pair of sides, so C(r, s) counts the unlabelled graphs.
+    """
+    parts = {n: list(_partitions(n, n)) for n in range(max_n + 1)}
+    b = {}
+    for r in range(max_n + 1):
+        for s in range(max_n + 1 - r):
+            b[r, s] = sum(
+                Fraction(2 ** sum(gcd(i, j) for i in lam for j in mu), _z(lam) * _z(mu))
+                for lam in parts[r] for mu in parts[s]
+            )
+    # L = log B from (r + s) B(r, s) = sum over (a, b) of (a + b) L(a, b) B(r - a, s - b)
+    log = {}
+    for n in range(1, max_n + 1):
+        for r in range(n + 1):
+            s = n - r
+            rest = sum((a + c) * log[a, c] * b[r - a, s - c]
+                       for a in range(r + 1) for c in range(s + 1)
+                       if 0 < a + c < n)
+            log[r, s] = (n * b[r, s] - rest) / n
+    out = {}
+    for (r, s) in log:
+        total = sum(Fraction(_mobius(k), k) * log[r // k, s // k]
+                    for k in range(1, gcd(r, s) + 1) if r % k == 0 and s % k == 0)
+        assert total.denominator == 1, (r, s, total)
+        out[r, s] = int(total)
     return out
 
 

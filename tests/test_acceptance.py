@@ -10,7 +10,7 @@ from math import ceil
 import pytest
 
 from locdom.associated import build_associated, label_subgraph
-from locdom.bipartite import bipartition, feasibility_window, run_census
+from locdom.bipartite import bipartition, census_pairs, feasibility_window, run_census
 from locdom.families import (
     banner,
     bistar,
@@ -26,6 +26,7 @@ from locdom.ld import lambda_bounded, lambda_bruteforce
 from locdom.suites import cactus_suite, parity_suite, thm3_suite
 
 from conftest import trace_gadget
+from oracles import bicolored_connected_counts
 
 
 def report(name, start):
@@ -96,6 +97,28 @@ def test_census_order_11():
     assert [e for e in entries if not e.ok()] == []
     assert sum(1 for e in entries if e.report.relation == 1) == 5
     report(f"census of {len(entries)} bipartite graphs n<=11", start)
+
+
+@pytest.mark.slow
+def test_census_order_12():
+    """Opt-in (pytest -m slow): the whole order-12 census on two workers."""
+    start = time.monotonic()
+    entries = run_census(12, jobs=2)
+    counts = {}
+    for e in entries:
+        counts[e.r, e.s] = counts.get((e.r, e.s), 0) + 1
+    oracle = bicolored_connected_counts(12)
+    assert counts == {(r, s): oracle[r, s] for r, s in census_pairs(12)}
+    assert len(entries) == 142637
+    relations = [e.report.relation for e in entries]
+    assert [relations.count(rel) for rel in (-1, 0, 1)] == [80528, 62058, 51]
+    assert [e for e in entries if not e.ok()] == []
+    plus = {}
+    for e in entries:
+        if e.report.relation == 1:
+            plus[e.r, e.s] = plus.get((e.r, e.s), 0) + 1
+    assert plus == {(3, 6): 2, (3, 7): 1, (4, 7): 2, (4, 8): 46}
+    report(f"census of {len(entries)} bipartite graphs n<=12", start)
 
 
 def test_c4_extremal_construction():

@@ -48,6 +48,16 @@ def test_lambda_all_codes_and_bounded(tmp_path, capsys):
     assert code == 0 and rep == {"bounded": 1, "found": False, "size": None, "witness": None}
 
 
+def test_lambda_bounded_and_all_codes_are_exclusive(tmp_path, capsys):
+    f = tmp_path / "p7.g6"
+    f.write_text(to_graph6(path(7)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", str(f), "--bounded", "3", "--all-codes"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --all-codes: not allowed with argument --bounded" in out.err
+
+
 def test_classify_command(tmp_path, capsys):
     from locdom.families import extremal
     f = tmp_path / "g.g6"
@@ -123,6 +133,13 @@ def test_census_byte_identical_reruns(tmp_path, capsys):
     run(capsys, "census", "--max-n", "8", "--jobs", "2", "--out", str(c))
     da, dc = json.loads(a.read_text()), json.loads(c.read_text())
     assert da["entries"] == dc["entries"] and da["summary"] == dc["summary"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "census", "--max-n", "6", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"locdom: error: jobs must be >= 1, got {jobs}\n"
 
 
 def test_census_over_cap_is_a_usage_error(capsys):

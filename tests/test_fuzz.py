@@ -125,5 +125,5 @@ def test_lambda_on_any_stdin_exits_0_or_2(text):
 def test_graph6_and_edge_list_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
     assert parse_edge_list(to_edge_list(g)) == g
-    assert [d.graph for d in parse_documents(to_graph6(g) + "\n")] == [g]
-    assert [d.graph for d in parse_documents(to_edge_list(g))] == [g]
+    assert parse_documents(to_graph6(g) + "\n") == [g]
+    assert parse_documents(to_edge_list(g)) == [g]

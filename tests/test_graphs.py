@@ -125,6 +125,37 @@ def test_bipartition_sides_are_stable_random():
             assert not any(g.adj[i] & side.bits for i in side)
 
 
+def test_walks_match_networkx_random():
+    """Components and sides from the breadth-first layers agree with networkx on
+    random graphs that include disconnected ones and odd cycles."""
+    rng = random.Random(23)
+    seen = {"disconnected": 0, "odd": 0, "bipartite": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.3, 0.5))
+        g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                            if rng.random() < p])
+        G = nx_graph(g)
+        comps = sorted(tuple(sorted(c)) for c in nx.connected_components(G))
+        assert [c.members() for c in connected_components(g)] == comps
+        if len(comps) > 1:
+            seen["disconnected"] += 1
+            with pytest.raises(ValueError, match="not connected"):
+                bipartition(g)
+            continue
+        bp = bipartition(g)
+        if not nx.is_bipartite(G):
+            seen["odd"] += 1
+            assert bp is None
+            continue
+        seen["bipartite"] += 1
+        sides = nx.bipartite.sets(G) if n > 1 else ({0}, set())
+        assert {bp.U.members(), bp.W.members()} == {tuple(sorted(x)) for x in sides}
+        assert bp.r == len(bp.U) <= bp.s == len(bp.W)
+        assert bp.r < bp.s or 0 in bp.U
+    assert min(seen.values()) >= 200, seen
+
+
 def test_twin_pairs_examples():
     k23 = complete_bipartite(2, 3)
     pairs = twin_pairs(k23, VertexSet.of((2, 3, 4)))
