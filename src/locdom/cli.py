@@ -9,15 +9,17 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 
 from . import suites
 from .associated import build_associated, cactus_stats, component_trace_check, \
     label_multiplicity, label_subgraph
-from .bipartite import ClassificationReport, classify, run_census
+from .bipartite import CensusError, ClassificationReport, classify, run_census
 from .families import KINDS, FamilySpec, generate
 from .graphio import export_dot, parse_documents, to_edge_list, to_graph6
 from .graphs import Graph, VertexSet
@@ -38,8 +40,7 @@ def _load_graphs(path: str) -> list[Graph]:
 
 
 def _write_json(obj, fh) -> None:
-    # json.dump streams the encoder's chunks; json.dumps would hold them all
-    # at once, which for a census report is the command's peak memory.
+    # json.dump streams the encoder's chunks; json.dumps would hold them all at once
     json.dump(obj, fh, indent=2)
     fh.write("\n")
 
@@ -149,47 +150,123 @@ def cmd_family(args) -> int:
     return 0
 
 
+_CENSUS_CSV_COLUMNS = ("key", "r", "s", "lambda", "lambda_bar", "relation",
+                       "c1", "c2", "c3", "c3_twin_form", "predicted_plus_one", "ok")
+
+
+def _json_int(x: int | None) -> str:
+    return "null" if x is None else str(x)
+
+
+def _json_bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _json_witness(v: VertexSet | None) -> str:
+    if v is None:
+        return "null"
+    if not v:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, v)) + "\n      ]"
+
+
+def _census_row_json(key: str, rep: ClassificationReport, ok: bool) -> str:
+    """One census entry laid out as ``json.dump(indent=2)`` lays it out in the
+    report's entries list: the row ``{"key": key, **_classify_json(rep), "ok": ok}``,
+    without the cost of the pure-Python encoder."""
+    c = rep.conditions
+    return (
+        "{\n"
+        f'      "key": {json.dumps(key)},\n'
+        f'      "r": {rep.r},\n'
+        f'      "s": {rep.s},\n'
+        f'      "lambda": {_json_int(rep.lambda_g)},\n'
+        f'      "lambda_bar": {_json_int(rep.lambda_gbar)},\n'
+        f'      "relation": {_json_int(rep.relation)},\n'
+        '      "conditions": {\n'
+        f'        "c1": {_json_bool(c.c1)},\n'
+        f'        "c2": {_json_bool(c.c2)},\n'
+        f'        "c3": {_json_bool(c.c3)},\n'
+        f'        "c3_twin_form": {_json_bool(c.c3_twin_form)}\n'
+        "      },\n"
+        f'      "predicted_plus_one": {_json_bool(rep.predicted_plus_one)},\n'
+        f'      "witness": {_json_witness(rep.witness_g)},\n'
+        f'      "witness_bar": {_json_witness(rep.witness_gbar)},\n'
+        f'      "partial": {_json_bool(rep.partial)},\n'
+        f'      "ok": {_json_bool(ok)}\n'
+        "    }"
+    )
+
+
+@contextlib.contextmanager
+def _replace_on_success(path: str):
+    """A text file that takes the place of ``path`` only if the block succeeds.
+
+    The file is written as a sibling temporary file and renamed over the
+    target at the end, so a failed run never leaves a truncated report.  A
+    path that exists and is not a regular file, such as /dev/null, is written
+    in place: renaming over it would replace the device.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None  # the path as given
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_census(args) -> int:
     start = time.monotonic()
     entries = run_census(args.max_n, jobs=args.jobs)
     by_relation: dict[str, int] = {"-1": 0, "0": 0, "1": 0}
-    rows = []
+    graphs = 0
     counterexamples = []
-    for e in entries:
-        rel = e.report.relation
-        by_relation[str(rel)] += 1
-        row = {"key": to_graph6(e.graph)}
-        row.update(_classify_json(e.report))
-        row["ok"] = e.ok()
-        rows.append(row)
-        if not e.ok():
-            counterexamples.append(row["key"])
-    report = {
-        "schema": SCHEMA,
-        "command": ["census", "--max-n", str(args.max_n), "--jobs", str(args.jobs)],
-        "entries": rows,
-        "summary": {
-            "graphs": len(rows),
-            "by_relation": by_relation,
-            "counterexamples": counterexamples,
-        },
-        "timing": round(time.monotonic() - start, 3) if args.timing else None,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            _write_json(report, fh)
-    else:
-        _write_json(report, sys.stdout)
-    if args.csv:
-        cols = ["key", "r", "s", "lambda", "lambda_bar", "relation",
-                "c1", "c2", "c3", "c3_twin_form", "predicted_plus_one", "ok"]
-        lines = [",".join(cols)]
-        for row in rows:
-            rec = dict(row)
-            rec.update(rec.pop("conditions"))
-            lines.append(",".join(str(rec[c]) for c in cols))
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(_replace_on_success(args.out)) if args.out else sys.stdout
+        csv = stack.enter_context(_replace_on_success(args.csv)) if args.csv else None
+        head = json.dumps({
+            "schema": SCHEMA,
+            "command": ["census", "--max-n", str(args.max_n), "--jobs", str(args.jobs)],
+            "entries": [],
+        }, indent=2)
+        out.write(head[:-len("]\n}")])  # up to and including the entries' "["
+        if csv is not None:
+            csv.write(",".join(_CENSUS_CSV_COLUMNS) + "\n")
+        sep = "\n    "
+        for e in entries:
+            rep, ok = e.report, e.ok()
+            key = to_graph6(e.graph)
+            graphs += 1
+            by_relation[str(rep.relation)] += 1
+            if not ok:
+                counterexamples.append(key)
+            out.write(sep + _census_row_json(key, rep, ok))
+            sep = ",\n    "
+            if csv is not None:
+                c = rep.conditions
+                csv.write(f"{key},{rep.r},{rep.s},{rep.lambda_g},{rep.lambda_gbar},"
+                          f"{rep.relation},{c.c1},{c.c2},{c.c3},{c.c3_twin_form},"
+                          f"{rep.predicted_plus_one},{ok}\n")
+        tail = json.dumps({
+            "summary": {
+                "graphs": graphs,
+                "by_relation": by_relation,
+                "counterexamples": counterexamples,
+            },
+            "timing": round(time.monotonic() - start, 3) if args.timing else None,
+        }, indent=2)
+        out.write(("\n  ]," if graphs else "],") + tail[1:] + "\n")
     return 1 if counterexamples else 0
 
 
@@ -286,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, suites.AtlasError) as exc:
+    except (ValueError, OSError, suites.AtlasError, CensusError) as exc:
         print(f"locdom: error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,6 +78,10 @@ def parse_graph6(line: str) -> Graph:
     return build_graph(n, edges)
 
 
+# the graph6 byte of each 6-bit group read least significant bit first
+_GROUP_BYTE = [chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64)]
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 line."""
     n = g.n
@@ -87,16 +91,21 @@ def to_graph6(g: Graph) -> str:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         head = [63, 63] + [(n >> (6 * k)) & 63 for k in range(5, -1, -1)]
-    bits = []
+    out = [chr(63 + v) for v in head]
+    # the upper triangle, column by column, gathered least significant bit
+    # first in ``acc``; whole 6-bit groups are cut off its low end, so it
+    # stays below n + 60 bits however large the graph
+    acc = width = 0
     for j in range(1, n):
-        row = g.adj[j]
-        for i in range(j):
-            bits.append((row >> i) & 1)
-    vals = []
-    for pos in range(0, len(bits), 6):
-        chunk = bits[pos:pos + 6] + [0] * (6 - len(bits[pos:pos + 6]))
-        vals.append(sum(b << (5 - i) for i, b in enumerate(chunk)))
-    return "".join(chr(63 + v) for v in head + vals)
+        acc |= (g.adj[j] & ((1 << j) - 1)) << width
+        width += j
+        if width >= 60:
+            cut = width - width % 6
+            out += [_GROUP_BYTE[(acc >> k) & 63] for k in range(0, cut, 6)]
+            acc >>= cut
+            width -= cut
+    out += [_GROUP_BYTE[(acc >> k) & 63] for k in range(0, width, 6)]
+    return "".join(out)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -5,6 +5,7 @@ per-criterion lines and timings inline).
 """
 
 import time
+from collections import Counter
 from math import ceil
 
 import pytest
@@ -67,7 +68,7 @@ def test_c2_complement_gap_exhaustive_n7():
 
 def test_c3_characterization_census():
     start = time.monotonic()
-    entries = run_census(10)
+    entries = list(run_census(10))
     assert len(entries) == 2937
     counts = {}
     for e in entries:
@@ -92,7 +93,7 @@ def test_c3_characterization_census():
 def test_census_order_11():
     """Opt-in (pytest -m slow): the whole order-11 census."""
     start = time.monotonic()
-    entries = run_census(11)
+    entries = list(run_census(11))
     assert len(entries) == 28509
     assert [e for e in entries if not e.ok()] == []
     assert sum(1 for e in entries if e.report.relation == 1) == 5
@@ -101,24 +102,24 @@ def test_census_order_11():
 
 @pytest.mark.slow
 def test_census_order_12():
-    """Opt-in (pytest -m slow): the whole order-12 census on two workers."""
+    """Opt-in (pytest -m slow): the whole order-12 census on two workers,
+    counted as the entries stream in, without holding them."""
     start = time.monotonic()
-    entries = run_census(12, jobs=2)
-    counts = {}
-    for e in entries:
-        counts[e.r, e.s] = counts.get((e.r, e.s), 0) + 1
+    counts, relations, plus, bad = Counter(), Counter(), Counter(), []
+    for e in run_census(12, jobs=2):
+        counts[e.r, e.s] += 1
+        relations[e.report.relation] += 1
+        if e.report.relation == 1:
+            plus[e.r, e.s] += 1
+        if not e.ok():
+            bad.append((e.r, e.s, e.traces))
     oracle = bicolored_connected_counts(12)
     assert counts == {(r, s): oracle[r, s] for r, s in census_pairs(12)}
-    assert len(entries) == 142637
-    relations = [e.report.relation for e in entries]
-    assert [relations.count(rel) for rel in (-1, 0, 1)] == [80528, 62058, 51]
-    assert [e for e in entries if not e.ok()] == []
-    plus = {}
-    for e in entries:
-        if e.report.relation == 1:
-            plus[e.r, e.s] = plus.get((e.r, e.s), 0) + 1
+    assert counts.total() == 142637
+    assert [relations[rel] for rel in (-1, 0, 1)] == [80528, 62058, 51]
+    assert bad == []
     assert plus == {(3, 6): 2, (3, 7): 1, (4, 7): 2, (4, 8): 46}
-    report(f"census of {len(entries)} bipartite graphs n<=12", start)
+    report(f"census of {counts.total()} bipartite graphs n<=12", start)
 
 
 def test_c4_extremal_construction():

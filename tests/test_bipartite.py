@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from locdom import suites
+from locdom import bipartite, suites
 from locdom.bipartite import (
     canonical_traces,
     census_pairs,
@@ -158,11 +158,21 @@ def test_census_generator_small_counts():
 
 def test_orderly_enumeration_matches_filter_oracle():
     """The pruned enumerator yields exactly the generate-then-filter multisets,
-    in the same order, for every census side pair up to order 10."""
+    in the same order, for every census side pair up to order 10, and so does
+    the concatenation of its prefix subtrees, the census's task split."""
     for r, s in census_pairs(10):
         ours = list(connected_bipartite_graphs(r, s))
         assert [t for t, _ in ours] == filtered_census_traces(r, s), (r, s)
         assert all(g == graph_from_traces(r, t) for t, g in ours)
+        prefixes = list(bipartite._prefixes(r, s))
+        assert prefixes and all(len(p) == bipartite.TASK_PREFIX_LENGTH for p in prefixes)
+        assert [item for p in prefixes
+                for item in connected_bipartite_graphs(r, s, p)] == ours, (r, s)
+    # unsorted, out of range, longer than s, and (2,), which a relabeling
+    # of U sends to the lex-smaller (1,)
+    for prefix in ((2, 1), (0, 1), (1, 8), (1, 1, 1, 1, 1), (2,)):
+        with pytest.raises(ValueError, match="not a canonical prefix"):
+            next(connected_bipartite_graphs(3, 4, prefix))
 
 
 def test_census_counts_match_the_burnside_oracle():
@@ -187,15 +197,15 @@ def test_census_entry_checks_pass_on_known_graphs():
 
 
 def test_run_census_n8_clean():
-    entries = run_census(8)
+    entries = list(run_census(8))
     assert entries and all(e.ok() for e in entries)
     # equivalence holds with real exceptions impossible below the window
     assert all(e.report.relation != 1 for e in entries)
 
 
 def test_run_census_parallel_matches_serial():
-    serial = run_census(8)
-    parallel = run_census(8, jobs=2)
+    serial = list(run_census(8))
+    parallel = list(run_census(8, jobs=2))
     assert serial == parallel
     # run_census does not sort: the order is the enumeration's own
     for entries in (serial, parallel):

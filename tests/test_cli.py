@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from locdom import bipartite
-from locdom.cli import main
+from locdom.bipartite import ClassificationReport, ConditionTriple, run_census
+from locdom.cli import _census_row_json, _classify_json, main
 from locdom.families import path
 from locdom.graphio import to_edge_list, to_graph6
+from locdom.graphs import VertexSet
 
 
 def run(capsys, *argv):
@@ -133,6 +135,84 @@ def test_census_byte_identical_reruns(tmp_path, capsys):
     run(capsys, "census", "--max-n", "8", "--jobs", "2", "--out", str(c))
     da, dc = json.loads(a.read_text()), json.loads(c.read_text())
     assert da["entries"] == dc["entries"] and da["summary"] == dc["summary"]
+    assert c.read_text().replace('"--jobs",\n    "2"', '"--jobs",\n    "1"') == a.read_text()
+    # the CSV does not echo the command, so it is byte-identical across job counts
+    for jobs in ("1", "2"):
+        run(capsys, "census", "--max-n", "8", "--jobs", jobs, "--csv", str(tmp_path / f"{jobs}.csv"))
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    # stdout carries the same bytes as the --out file
+    for jobs, report in (("1", a), ("2", c)):
+        code, out, _ = run(capsys, "census", "--max-n", "8", "--jobs", jobs)
+        assert code == 0 and out == report.read_text()
+
+
+def test_census_rows_match_the_json_encoder(capsys):
+    """The fixed-layout row writer gives json.dumps(row, indent=2) at the
+    entries' depth, and the streamed report re-encodes to itself."""
+    def encoded(key, rep, ok):
+        row = {"key": key, **_classify_json(rep), "ok": ok}
+        return json.dumps(row, indent=2).replace("\n", "\n    ")
+
+    relations = set()
+    for e in run_census(10):
+        key = to_graph6(e.graph)
+        assert _census_row_json(key, e.report, e.ok()) == encoded(key, e.report, e.ok())
+        relations.add(e.report.relation)
+    # 0 must print as 0, not as false
+    assert relations == {-1, 0, 1}
+    conds = ConditionTriple(c1=False, c2=True, c3=False, c3_twin_form=False)
+    partial = ClassificationReport(3, 5, None, None, None, conds, False, None, None,
+                                   partial=True)
+    empty_witness = ClassificationReport(3, 4, 0, 1, 1, conds, False, VertexSet(),
+                                         VertexSet.of([3, 5]))
+    # graph6 bytes run from 63 to 126, and JSON escapes 92, the backslash
+    for key, rep, ok in (("G\\?", partial, False), ("~\\", empty_witness, True)):
+        assert _census_row_json(key, rep, ok) == encoded(key, rep, ok)
+    code, out, _ = run(capsys, "census", "--max-n", "8")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    # the empty census, as the whole-report encoder wrote it
+    code, out, _ = run(capsys, "census", "--max-n", "6")
+    assert code == 0 and out == json.dumps({
+        "schema": "locdom-report/1",
+        "command": ["census", "--max-n", "6", "--jobs", "1"],
+        "entries": [],
+        "summary": {"graphs": 0, "by_relation": {"-1": 0, "0": 0, "1": 0},
+                    "counterexamples": []},
+        "timing": None,
+    }, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_task_failure_is_a_usage_error_and_writes_no_file(tmp_path, capsys,
+                                                                monkeypatch, jobs):
+    """Any exception in a census task ends in exit code 2 with a message, and
+    the report files are left as they were: forked workers inherit the patch."""
+    def fail(*args):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(bipartite, "check_census_graph", fail)
+    out_file, csv_file = tmp_path / "census.json", tmp_path / "census.csv"
+    out_file.write_text("an earlier report\n")
+    code, out, err = run(capsys, "census", "--max-n", "8", "--jobs", jobs,
+                         "--out", str(out_file), "--csv", str(csv_file))
+    assert code == 2 and out == ""
+    assert err == ("locdom: error: census task (r, s) = (3, 4), prefix [1, 1, 1] failed: "
+                   "RuntimeError: injected failure\n")
+    assert os.listdir(tmp_path) == ["census.json"]
+    assert out_file.read_text() == "an earlier report\n"
+
+
+def test_census_output_paths(tmp_path, capsys):
+    """A report sent to a device is written to it, not renamed over it, and an
+    unwritable path is named as given, not as its temporary sibling."""
+    code, out, _ = run(capsys, "census", "--max-n", "7", "--out", os.devnull,
+                       "--csv", os.devnull)
+    assert code == 0 and out == ""
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    missing = str(tmp_path / "missing" / "census.json")
+    code, out, err = run(capsys, "census", "--max-n", "7", "--out", missing)
+    assert code == 2 and out == ""
+    assert err == f"locdom: error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -54,9 +55,11 @@ def test_graph6_round_trip_random():
 
 
 def test_graph6_matches_networkx_encoding():
+    """Random orders up to 15, plus 0, 1 and both sides of the one-byte
+    size header's limit at 63."""
     rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randint(1, 15)
+    drawn = (rng.randint(1, 15) for _ in range(60))
+    for n in chain(drawn, (0, 1, 62, 63, 64, 100)):
         g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                             if rng.random() < 0.5])
         G = nx.Graph()
