@@ -11,7 +11,6 @@ when U fails to distinguish W, i.e. when W has twins.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -26,7 +25,6 @@ from .graphs import (
     bipartition,
     build_graph,
     complement,
-    twin_pairs,
 )
 from .ld import ORACLE_CAP, is_ld_set, lambda_bounded, lambda_bruteforce, ld_codes
 
@@ -65,12 +63,12 @@ class ClassificationReport:
 
 
 def _validate_sides(g: Graph, bp: Bipartition) -> None:
-    if (bp.U & bp.W) or (bp.U | bp.W) != g.vertices():
+    u, w = bp.U.bits, bp.W.bits
+    if u & w or u | w != (1 << g.n) - 1:
         raise ValueError("bipartition sides must partition the vertex set")
-    for side in (bp.U, bp.W):
-        for v in side:
-            if g.adj[v] & side.bits:
-                raise ValueError(f"side containing vertex {v} is not stable; input is not bipartite")
+    for v, row in enumerate(g.adj):
+        if row & (u if u >> v & 1 else w):
+            raise ValueError(f"side containing vertex {v} is not stable; input is not bipartite")
 
 
 def _sides(g: Graph) -> Bipartition:
@@ -81,18 +79,23 @@ def _sides(g: Graph) -> Bipartition:
 
 
 def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
-    """Evaluate the characterization conditions for a connected bipartite graph."""
+    """Evaluate the characterization conditions for a connected bipartite graph.
+
+    c1, c2 and the twin form of c3 read W's rows; c3 reads the U-associated graph.
+    """
     _validate_sides(g, bp)
-    u_side, w_side = bp.U, bp.W
-    c1 = not twin_pairs(g, w_side)
-    c2 = any(g.adj[w] == u_side.bits for w in w_side)
+    u_side = bp.U
+    w_rows = [g.adj[w] for w in bp.W]
+    # W is stable, so no two of its vertices are closed twins: W has no twins
+    # exactly when its rows are distinct
+    c1 = len(set(w_rows)) == len(w_rows)
+    c2 = u_side.bits in w_rows
     if not c1:
         return ConditionTriple(c1, c2, False, False)
     counts = label_multiplicity(build_associated(g, u_side))
     c3 = all(counts[u] >= 2 for u in u_side)
     # c1 holds, so W's rows are distinct and clearing bit u can only merge
     # them in pairs: each row lost from the set is one twin pair of G - u
-    w_rows = [g.adj[w] for w in w_side]
     c3_twin = all(
         len(w_rows) - len({row & ~(1 << u) for row in w_rows}) >= 2 for u in u_side
     )
@@ -355,14 +358,15 @@ def _census_task(task: tuple[int, int, tuple[int, ...]]) -> list[CensusEntry]:
 def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     """Check every connected bipartite graph with 3 <= r < s and order <= max_n.
 
-    Returns an iterator over the entries; it holds no work list.  Each (r, s)
-    is split into one task per canonical prefix of ``TASK_PREFIX_LENGTH``
-    masks (see :func:`connected_bipartite_graphs`), and one task function
-    enumerates and checks a prefix's subtree.  The tasks run through ``map`` for one job and
-    through ``pool.imap`` for more; both return results in task order, and
-    ``census_pairs`` lists (r, s) in increasing order, so entries come in
-    (r, s, trace multiset) order whatever the job count.  A failing task
-    raises :class:`CensusError`.
+    Returns an iterator over the entries; the tasks enumerate the graphs, so
+    no list of graphs or entries is built.  Each (r, s) is split into one task
+    per canonical prefix of ``TASK_PREFIX_LENGTH`` masks (see
+    :func:`connected_bipartite_graphs`), and one task function enumerates and
+    checks a prefix's subtree.  The tasks run through ``map`` for one job and
+    through a process pool's ``map`` for more; both return results in task
+    order, and ``census_pairs`` lists (r, s) in increasing order, so entries
+    come in (r, s, trace multiset) order whatever the job count.  A failing
+    task, or a worker process that dies, raises :class:`CensusError`.
 
     The arguments are checked when this is called, before anything is
     enumerated.  Orders above ``ORACLE_CAP`` are refused: classify gives
@@ -384,11 +388,17 @@ def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
 
 def _stream_census(max_n: int, jobs: int) -> Iterator[CensusEntry]:
     tasks = ((r, s, prefix) for r, s in census_pairs(max_n) for prefix in _prefixes(r, s))
-    with ExitStack() as stack:
-        run = map
-        if jobs > 1:
-            import multiprocessing as mp
-
-            run = stack.enter_context(mp.Pool(jobs)).imap
-        for batch in run(_census_task, tasks):
+    if jobs == 1:
+        for batch in map(_census_task, tasks):
             yield from batch
+        return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # map submits every task and cancels those pending when a result raises;
+    # a worker that dies breaks the pool, where multiprocessing.Pool would hang
+    with ProcessPoolExecutor(jobs) as pool:
+        try:
+            for batch in pool.map(_census_task, tasks):
+                yield from batch
+        except BrokenProcessPool as exc:
+            raise CensusError(f"a census worker process died: {exc}") from exc

@@ -277,14 +277,12 @@ def cmd_verify(args) -> int:
         checked, bad = suites.table1_suite()
         max_n = None
     elif args.suite == "thm3":
-        max_n = 7 if max_n is None else max_n
+        max_n = suites.ATLAS_MAX_N if max_n is None else max_n
         checked, bad = suites.thm3_suite(max_n=max_n)
-    elif args.suite == "parity":
-        max_n = 14 if max_n is None else max_n
-        checked, bad = suites.parity_suite(seed=args.seed, trials=args.trials, max_n=max_n)
     else:
-        max_n = 14 if max_n is None else max_n
-        checked, bad = suites.cactus_suite(seed=args.seed, trials=args.trials, max_n=max_n)
+        max_n = suites.RANDOM_MAX_N if max_n is None else max_n
+        run = suites.parity_suite if args.suite == "parity" else suites.cactus_suite
+        checked, bad = run(seed=args.seed, trials=args.trials, max_n=max_n)
     report = {
         "schema": SCHEMA,
         "command": ["verify", "--suite", args.suite],
@@ -349,10 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a property suite; exit 1 on any violation")
     ver.add_argument("--suite", required=True, choices=["table1", "thm3", "cactus", "parity"])
-    ver.add_argument("--seed", type=int, default=2024)
-    ver.add_argument("--trials", type=int, default=500)
+    ver.add_argument("--seed", type=int, default=suites.SEED)
+    ver.add_argument("--trials", type=int, default=suites.TRIALS)
     ver.add_argument("--max-n", type=int, default=None,
-                     help="graph order ceiling (default: 7 for thm3, 14 for parity/cactus)")
+                     help=f"graph order ceiling (default: {suites.ATLAS_MAX_N} for thm3, "
+                          f"{suites.RANDOM_MAX_N} for parity/cactus)")
     ver.add_argument("--timing", action="store_true")
     ver.set_defaults(func=cmd_verify)
     return p

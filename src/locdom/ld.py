@@ -87,18 +87,15 @@ def is_ld_set(g: Graph, s: VertexSet) -> bool:
 
 
 def undominated_vertex(g: Graph, s: VertexSet) -> int | None:
-    """The unique vertex outside a distinguishing set with no neighbor in it.
+    """The vertex outside a distinguishing set with no neighbor in it, or None.
 
     Raises ValueError when s is not distinguishing (a silent answer would mask
-    a caller bug); with the precondition satisfied at most one such vertex can
-    exist, and None is returned when every vertex is dominated.
+    a caller bug).  Undominated vertices all carry the empty trace, so under
+    a distinguishing set there is at most one, and the first found is it.
     """
     if not is_distinguishing(g, s):
         raise ValueError("undominated_vertex requires a distinguishing set")
-    hits = [v for v in g.vertices() - s if g.adj[v] & s.bits == 0]
-    if len(hits) > 1:
-        raise ValueError(f"two undominated vertices {hits[:2]} under a distinguishing set")
-    return hits[0] if hits else None
+    return next((v for v in g.vertices() - s if g.adj[v] & s.bits == 0), None)
 
 
 def lambda_bruteforce(g: Graph, enumerate_all: bool = False, *, floor: int = 0) -> LDReport:

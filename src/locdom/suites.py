@@ -26,7 +26,11 @@ from .graphs import Graph, VertexSet, build_graph, complement
 from .ld import is_distinguishing, lambda_bruteforce
 from . import families
 
+# the suites' defaults, which the command line reads too; ATLAS_MAX_N is thm3's
 ATLAS_MAX_N = 7
+SEED = 2024
+TRIALS = 500
+RANDOM_MAX_N = 14
 _CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # one-argument joinpath: the two-argument form needs Python 3.11
 _ATLAS_FILE = resources.files(__package__).joinpath("data/connected7.g6")
@@ -98,7 +102,7 @@ def table1_suite(max_pc: int = 14, max_star: int = 12, max_kb: int = 12,
     return checked, bad
 
 
-def thm3_suite(max_n: int = 7) -> tuple[int, list[str]]:
+def thm3_suite(max_n: int = ATLAS_MAX_N) -> tuple[int, list[str]]:
     """|lam(G) - lam(complement)| <= 1 over every connected graph with n <= max_n."""
     checked = 0
     bad = []
@@ -116,25 +120,19 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
-_DISTINGUISHING_ATTEMPTS = 60
-
-
 def random_distinguishing_set(rng: random.Random, g: Graph) -> VertexSet:
-    """A distinguishing set chosen reproducibly: random subsets first, greedy shrink fallback."""
+    """A random set of 1 to n - 1 vertices, redrawn until it distinguishes.
+
+    Any n - 1 vertices distinguish, so this ends with probability 1, after
+    about two draws on the suites' graphs.  Raises ValueError when n < 2.
+    """
+    if g.n < 2:
+        raise ValueError(f"a distinguishing set of 1 to n - 1 vertices needs n >= 2, got {g.n}")
     verts = list(range(g.n))
-    for _ in range(_DISTINGUISHING_ATTEMPTS):
-        k = rng.randint(1, max(1, g.n - 1))
-        s = VertexSet.of(rng.sample(verts, k))
+    while True:
+        s = VertexSet.of(rng.sample(verts, rng.randint(1, g.n - 1)))
         if is_distinguishing(g, s):
             return s
-    s = g.vertices()
-    order = verts[:]
-    rng.shuffle(order)
-    for v in order:
-        smaller = s.discard(v)
-        if len(smaller) >= 1 and is_distinguishing(g, smaller):
-            s = smaller
-    return s
 
 
 # smallest order each random suite draws: parity from 4 up, cactus from 6 up
@@ -151,16 +149,14 @@ def _check_random_params(suite: str, trials: int, max_n: int, min_n: int) -> Non
 
 
 def _random_instance(rng: random.Random, max_n: int) -> tuple[Graph, VertexSet, AssociatedGraph]:
-    while True:
-        n = rng.randint(PARITY_MIN_N, max_n)
-        g = random_graph(rng, n, rng.uniform(0.15, 0.85))
-        s = random_distinguishing_set(rng, g)
-        if len(s) < g.n:
-            return g, s, build_associated(g, s)
+    n = rng.randint(PARITY_MIN_N, max_n)
+    g = random_graph(rng, n, rng.uniform(0.15, 0.85))
+    s = random_distinguishing_set(rng, g)
+    return g, s, build_associated(g, s)
 
 
-def parity_suite(seed: int = 2024, trials: int = 500,
-                 max_n: int = 14) -> tuple[int, list[str]]:
+def parity_suite(seed: int = SEED, trials: int = TRIALS,
+                 max_n: int = RANDOM_MAX_N) -> tuple[int, list[str]]:
     """Structural properties of associated graphs on random (G, S) instances.
 
     Order, level-parity bipartiteness, incident-label distinctness, cycle
@@ -249,8 +245,8 @@ def _two_per_label_instance(rng: random.Random, max_n: int):
     return ag, chosen, edge_induced_subgraph(ag, picked)
 
 
-def cactus_suite(seed: int = 2024, trials: int = 500,
-                 max_n: int = 14) -> tuple[int, list[str]]:
+def cactus_suite(seed: int = SEED, trials: int = TRIALS,
+                 max_n: int = RANDOM_MAX_N) -> tuple[int, list[str]]:
     """Cactus structure and order bounds of two-edges-per-label subgraphs.
 
     Each trial draws one instance, trace-first (see _two_per_label_instance):

@@ -17,7 +17,8 @@ from locdom.bipartite import (
     run_census,
 )
 from locdom.families import bistar, complete_bipartite, cycle, extremal, path
-from locdom.graphs import VertexSet, bipartition, build_graph, complement
+from locdom.graphs import (Bipartition, VertexSet, bipartition, build_graph, complement,
+                           is_connected, twin_pairs)
 from locdom.ld import lambda_bruteforce
 
 from oracles import bicolored_connected_counts, filtered_census_traces, naive_lambda
@@ -47,10 +48,62 @@ def test_condition_triple_bistar():
 
 def test_condition_triple_rejects_fake_bipartition():
     g = cycle(4)
-    from locdom.graphs import Bipartition
     bad = Bipartition(VertexSet.of((0, 1)), VertexSet.of((2, 3)), 2, 2)
     with pytest.raises(ValueError, match="not stable"):
         condition_triple(g, bad)
+    # each way sides can fail on the path 0-1-2-3-4; when both are unstable
+    # the smallest offending vertex is named, here 0 in W
+    cases = [
+        ((0, 1, 2), (2, 3, 4), "bipartition sides must partition the vertex set"),
+        ((0, 2), (1, 3), "bipartition sides must partition the vertex set"),
+        ((1, 2, 4), (0, 3), "side containing vertex 1 is not stable; input is not bipartite"),
+        ((0, 2), (1, 3, 4), "side containing vertex 3 is not stable; input is not bipartite"),
+        ((3, 4), (0, 1, 2), "side containing vertex 0 is not stable; input is not bipartite"),
+    ]
+    for u, w, message in cases:
+        bp = Bipartition(VertexSet.of(u), VertexSet.of(w), len(u), len(w))
+        with pytest.raises(ValueError) as info:
+            condition_triple(path(5), bp)
+        assert str(info.value) == message, (u, w)
+
+
+def test_c1_and_c2_match_the_twin_reference():
+    """On every census graph up to order 10, and on connected bipartite graphs
+    with shuffled labels, half of them with a repeated row, so that both
+    values of c1 and of c2 occur."""
+    def reference(g, bp):
+        # no twin pair inside W, and some w in W whose neighbourhood is U
+        return not twin_pairs(g, bp.W), any(g.adj[w] == bp.U.bits for w in bp.W)
+
+    checked = 0
+    for r, s in census_pairs(10):
+        u_side = VertexSet((1 << r) - 1)
+        for _, g in connected_bipartite_graphs(r, s):
+            bp = Bipartition(u_side, g.vertices() - u_side, r, s)
+            conds = condition_triple(g, bp)
+            assert (conds.c1, conds.c2) == reference(g, bp)
+            checked += 1
+    assert checked == 2937
+    rng = random.Random(139)
+    seen = set()
+    for trial in range(400):
+        r = rng.randint(1, 5)
+        s = rng.randint(1, 9)
+        traces = [rng.randint(1, (1 << r) - 1) for _ in range(s)]
+        if trial % 2 and s > 1:
+            traces[rng.randrange(1, s)] = traces[0]
+        if trial % 3 == 0:
+            traces[rng.randrange(s)] = (1 << r) - 1
+        g0 = graph_from_traces(r, traces)
+        perm = rng.sample(range(g0.n), g0.n)
+        g = build_graph(g0.n, [(perm[a], perm[b]) for a, b in g0.edges()])
+        if not is_connected(g):
+            continue
+        bp = bipartition(g)
+        conds = condition_triple(g, bp)
+        assert (conds.c1, conds.c2) == reference(g, bp)
+        seen.add((conds.c1, conds.c2))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_classify_bistar_3_3():

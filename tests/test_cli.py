@@ -202,6 +202,41 @@ def test_census_task_failure_is_a_usage_error_and_writes_no_file(tmp_path, capsy
     assert out_file.read_text() == "an earlier report\n"
 
 
+_KILL_WORKERS = """
+import os, signal, sys
+from locdom import bipartite, cli
+
+parent = os.getpid()
+check = bipartite.check_census_graph
+
+def check_or_die(*args):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return check(*args)
+
+bipartite.check_census_graph = check_or_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_census_worker_killed_by_a_signal_exits_2(tmp_path):
+    """A census worker that dies (the OOM killer, say) ends the run with exit
+    code 2 and a message instead of a hang; forked workers inherit the patch
+    that kills them, and no report is written."""
+    import subprocess
+
+    out_file = tmp_path / "census.json"
+    src = os.path.dirname(os.path.dirname(bipartite.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _KILL_WORKERS, "census", "--max-n", "7",
+                           "--jobs", "2", "--out", str(out_file)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("locdom: error: a census worker process died: ")
+    assert "Traceback" not in proc.stderr
+    assert not out_file.exists() and os.listdir(tmp_path) == []
+
+
 def test_census_output_paths(tmp_path, capsys):
     """A report sent to a device is written to it, not renamed over it, and an
     unwritable path is named as given, not as its temporary sibling."""

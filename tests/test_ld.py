@@ -17,7 +17,7 @@ from locdom.ld import (
     ld_codes,
     undominated_vertex,
 )
-from locdom.suites import connected_atlas_graphs
+from locdom.suites import connected_atlas_graphs, random_distinguishing_set
 
 from oracles import adj_sets, ilp_lambda, naive_codes, naive_is_ld, naive_lambda
 
@@ -63,6 +63,19 @@ def test_undominated_vertex():
     assert undominated_vertex(k14, vs(1, 2, 3, 4)) is None
     with pytest.raises(ValueError, match="distinguishing"):
         undominated_vertex(complete_bipartite(2, 3), vs(0, 1))
+
+
+def test_undominated_vertex_matches_a_count_of_empty_traces():
+    rng = random.Random(149)
+    found = {False: 0, True: 0}
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.05, 0.7))
+        s = random_distinguishing_set(rng, g)
+        empty = [v for v in range(g.n) if v not in s and not g.adj[v] & s.bits]
+        assert len(empty) <= 1
+        assert undominated_vertex(g, s) == (empty[0] if empty else None)
+        found[bool(empty)] += 1
+    assert min(found.values()) >= 50
 
 
 def test_lambda_bruteforce_known_values():

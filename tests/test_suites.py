@@ -71,11 +71,15 @@ def test_pyproject_has_no_runtime_dependency_and_ships_the_data():
 
 def test_random_distinguishing_set_is_distinguishing():
     rng = random.Random(3)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
+    draws = [rng.randint(2, 12) for _ in range(30)] + [2] * 10 + [3] * 10
+    for n in draws:
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         s = random_distinguishing_set(rng, g)
         assert is_distinguishing(g, s)
-        assert len(s) < g.n
+        assert 1 <= len(s) <= g.n - 1
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            random_distinguishing_set(rng, random_graph(rng, n, 0.5))
 
 
 def test_suites_smoke():
