@@ -102,6 +102,46 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     return ConditionTriple(c1, c2, c3, c3_twin)
 
 
+def _least_split(r: int, s: int, fits) -> int:
+    """The least a + b over 0 <= a <= r and 0 <= b <= s with ``fits(a, b)``.
+
+    ``fits`` must stay true as a or b grows, so the least b that fits does
+    not grow with a, and one pointer moving down from s serves every a."""
+    best = r + s
+    b = s
+    for a in range(r + 1):
+        if fits(a, b):
+            while b and fits(a, b - 1):
+                b -= 1
+            best = min(best, a + b)
+    return best
+
+
+@lru_cache(maxsize=64)
+def _side_floors(r: int, s: int) -> tuple[int, int]:
+    """Lower bounds on lambda for a bipartite graph with sides of sizes r and
+    s, and for its complement, from a count of the traces each side can carry.
+
+    Let S be an LD-set with a members in U and b in W.  In G the sides are
+    stable, so W - S carries distinct nonempty subsets of S & U, and U - S
+    of S & W: s - b <= 2^a - 1 and r - a <= 2^b - 1.  In the complement the
+    sides are cliques, so a vertex of W - S sees all of S & W and differs
+    from the rest of W - S only inside S & U, where it must see something
+    when b = 0: W - S has room for 2^a - [b = 0] traces, and likewise U - S
+    for 2^b - [a = 0].  The two families share one trace, S itself, so the
+    outside vertices together fit in the sum of the two rooms less one.  Each
+    floor is the least a + b these counts allow."""
+    def stable(a: int, b: int) -> bool:
+        return s - b < 1 << a and r - a < 1 << b
+
+    def clique(a: int, b: int) -> bool:
+        w_room = (1 << a) - (b == 0)
+        u_room = (1 << b) - (a == 0)
+        return s - b <= w_room and r - a <= u_room and r - a + s - b < w_room + u_room
+
+    return _least_split(r, s, stable), _least_split(r, s, clique)
+
+
 def classify(g: Graph) -> ClassificationReport:
     """Full comparison of a connected bipartite graph against its complement.
 
@@ -117,7 +157,9 @@ def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
     conds = condition_triple(g, bp)
     predicted = 3 <= bp.r < bp.s and conds.all_hold()
     sols = []
-    floor = 0
+    # the sides bound both searches from below (see _side_floors); sizes under
+    # a proven floor have no LD-set, so skipping them changes no result
+    floor, clique_floor = _side_floors(bp.r, bp.s)
     for h in (g, complement(g)):
         if g.n <= ORACLE_CAP:
             rep = lambda_bruteforce(h, floor=floor)
@@ -130,7 +172,7 @@ def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
             sols.append((res.size, res.witness))
         # an LD-set of the complement plus its one undominated vertex is an
         # LD-set of g, so lambda(complement) >= lambda(g) - 1
-        floor = max(sols[0][0] - 1, 0)
+        floor = max(sols[0][0] - 1, clique_floor)
     (lam_g, wit_g), (lam_gb, wit_gb) = sols
     return ClassificationReport(bp.r, bp.s, lam_g, lam_gb, lam_gb - lam_g, conds,
                                 predicted, wit_g, wit_gb)

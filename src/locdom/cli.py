@@ -13,7 +13,9 @@ import contextlib
 import functools
 import json
 import os
+import signal
 import sys
+import threading
 import time
 
 from . import suites
@@ -199,11 +201,40 @@ def _census_row_json(key: str, rep: ClassificationReport, ok: bool) -> str:
 
 
 @contextlib.contextmanager
+def _sigterm_exits():
+    """While the block runs in the main thread, SIGTERM (from ``kill`` or
+    ``timeout``) raises SystemExit, so cleanup code runs; the default action
+    would end the process without it.  A handler set by anyone else is left
+    alone.  A process forked inside the block, such as a census worker, still
+    dies by SIGTERM: a worker that caught SystemExit in a task would keep
+    running."""
+    if (signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+    owner = os.getpid()
+
+    def stop(signum, frame):
+        if os.getpid() != owner:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+@contextlib.contextmanager
 def _replace_on_success(path: str):
     """A text file that takes the place of ``path`` only if the block succeeds.
 
     The file is written as a sibling temporary file and renamed over the
-    target at the end, so a failed run never leaves a truncated report.  A
+    target at the end, so a failed run never leaves a truncated report, and
+    one ended by SIGTERM leaves no temporary file either.  A
     path that exists and is not a regular file, such as /dev/null, is written
     in place: renaming over it would replace the device.
     """
@@ -213,17 +244,24 @@ def _replace_on_success(path: str):
             yield fh
         return
     tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, "x", encoding="ascii")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None  # the path as given
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _sigterm_exits():
+        try:
+            fh = open(tmp, "x", encoding="ascii")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None  # the path as given
+        except BaseException:
+            # a signal is handled once open returns, before fh is bound
+            os.unlink(tmp)
+            raise
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            # or once os.replace returns, when tmp is already gone
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
 
 def cmd_census(args) -> int:

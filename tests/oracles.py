@@ -7,6 +7,7 @@ networkx), deliberately avoiding the bitmask/pruning code paths under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd
 
@@ -66,6 +67,42 @@ def ilp_lambda(n: int, edges) -> int:
     if res.status != 0:
         raise RuntimeError(f"ILP solver did not finish: {res.message}")
     return int(round(res.fun))
+
+
+@lru_cache(maxsize=None)
+def _trace_families(a: int, b: int, cliques: bool) -> tuple[int, int, int]:
+    """Sizes of the traces open to W - S and to U - S, and of their union,
+    when S has a members in U and b in W, listed as explicit sets.
+
+    With stable sides a vertex of W sees only U, so its trace is a subset of
+    S & U, and a vertex of U one of S & W.  With clique sides a vertex of W
+    also sees all of S & W, and a vertex of U all of S & U.  The empty trace
+    is undominated and is dropped.
+    """
+    su = [("u", i) for i in range(a)]
+    sw = [("w", j) for j in range(b)]
+    w_base, u_base = (set(sw), set(su)) if cliques else (set(), set())
+    w_traces = {frozenset(w_base | set(x)) for k in range(a + 1) for x in combinations(su, k)}
+    u_traces = {frozenset(u_base | set(y)) for k in range(b + 1) for y in combinations(sw, k)}
+    w_traces.discard(frozenset())
+    u_traces.discard(frozenset())
+    return len(w_traces), len(u_traces), len(w_traces | u_traces)
+
+
+def trace_count_floors(r: int, s: int) -> tuple[int, int]:
+    """Least LD-set sizes the side counts allow: with stable sides of r and s
+    vertices (a bipartite graph), and with clique sides (its complement).
+
+    The r - a vertices of U - S and the s - b of W - S need distinct traces
+    from their families.  By Hall's theorem that is possible exactly when
+    each family is large enough for its own side and the union for both.
+    """
+    return tuple(
+        min(a + b for a in range(r + 1) for b in range(s + 1)
+            for w_room, u_room, room in [_trace_families(a, b, cliques)]
+            if s - b <= w_room and r - a <= u_room and (r - a) + (s - b) <= room)
+        for cliques in (False, True)
+    )
 
 
 def naive_codes(n: int, edges) -> list[tuple[int, ...]]:

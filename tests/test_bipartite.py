@@ -4,6 +4,7 @@ import pytest
 
 from locdom import bipartite, suites
 from locdom.bipartite import (
+    ClassificationReport,
     canonical_traces,
     census_pairs,
     check_census_graph,
@@ -16,12 +17,13 @@ from locdom.bipartite import (
     lemma13_audit,
     run_census,
 )
-from locdom.families import bistar, complete_bipartite, cycle, extremal, path
+from locdom.families import bistar, complete_bipartite, cycle, extremal, path, star
 from locdom.graphs import (Bipartition, VertexSet, bipartition, build_graph, complement,
                            is_connected, twin_pairs)
 from locdom.ld import lambda_bruteforce
 
-from oracles import bicolored_connected_counts, filtered_census_traces, naive_lambda
+from oracles import (bicolored_connected_counts, filtered_census_traces, ilp_lambda,
+                     naive_lambda, trace_count_floors)
 
 
 def test_condition_triple_extremal_3_6():
@@ -322,6 +324,94 @@ def test_classify_complement_matches_naive_oracle():
             assert (rep.lambda_gbar, rep.witness_gbar.members()) == (lam, wit)
             checked += 1
     assert checked == 110
+
+
+def _naive_lambdas(g):
+    h = complement(g)
+    return naive_lambda(g.n, list(g.edges()))[0], naive_lambda(h.n, list(h.edges()))[0]
+
+
+def test_side_floors_match_the_trace_count_oracle():
+    """The side floors equal the oracle's, which lists every trace open to
+    each side as explicit sets; sides in both orders, and empty sides."""
+    for r in range(11):
+        for s in range(11):
+            assert bipartite._side_floors(r, s) == trace_count_floors(r, s), (r, s)
+
+
+def test_side_floors_bound_lambda_on_census_graphs():
+    """Every census graph with n <= 9 against the naive scan of G and its
+    complement; each floor is reached on some of them."""
+    tight = [0, 0]
+    for r, s in census_pairs(9):
+        stable, clique = bipartite._side_floors(r, s)
+        for _, g in connected_bipartite_graphs(r, s):
+            lam, lam_bar = _naive_lambdas(g)
+            assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
+            tight[0] += stable == lam
+            tight[1] += clique == lam_bar
+    assert tight == [371, 82]
+
+
+def test_side_floors_bound_lambda_on_random_bipartite_graphs():
+    """300 seeded connected bipartite graphs with sides r <= s <= 8, r = s
+    included, against the naive scan of G and its complement."""
+    rng = random.Random(2718)
+    pairs = [(r, s) for s in range(1, 9) for r in range(1, s + 1)]
+    checked = equal_sides = 0
+    while checked < 300:
+        r, s = rng.choice(pairs)
+        p = rng.uniform(0.2, 0.8)
+        g = build_graph(r + s, [(u, r + w) for u in range(r) for w in range(s)
+                                if rng.random() < p])
+        if not is_connected(g):
+            continue
+        # connected, so U = 0..r-1 and W are its only sides
+        stable, clique = bipartite._side_floors(r, s)
+        lam, lam_bar = _naive_lambdas(g)
+        assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
+        checked += 1
+        equal_sides += r == s
+    assert equal_sides > 30
+
+
+def test_side_floors_on_stars_and_complete_bipartite_graphs():
+    """The stable floor is lambda on every star K_{1,s}; complete bipartite
+    graphs have disconnected complements, K_r plus K_s."""
+    for n in range(2, 12):
+        lam, lam_bar = _naive_lambdas(star(n))
+        stable, clique = bipartite._side_floors(1, n - 1)
+        assert stable == lam == n - 1 and clique <= lam_bar
+    for r in range(1, 6):
+        for s in range(r, 11 - r):
+            g = complete_bipartite(r, s)
+            assert not is_connected(complement(g))
+            lam, lam_bar = _naive_lambdas(g)
+            stable, clique = bipartite._side_floors(r, s)
+            assert stable <= lam and clique <= lam_bar, (r, s)
+
+
+def test_classify_above_the_cap_with_side_floors():
+    """K_{1,21}: the stable floor, 21, is past the r + 1 = 2 budget, and the
+    report is partial as before.  Four seeded random bipartite graphs with
+    n = 21..26 get lambda and lambda-bar of the ILP oracle."""
+    g = star(22)
+    assert bipartite._side_floors(1, 21)[0] == 21
+    assert classify(g) == ClassificationReport(1, 21, None, None, None,
+                                               condition_triple(g, bipartition(g)),
+                                               False, None, None, partial=True)
+    pytest.importorskip("scipy.optimize", reason="the ILP oracle needs scipy's milp")
+    rng = random.Random(31)
+    for r, s in ((7, 14), (7, 16), (8, 17), (9, 17)):
+        g = None
+        while g is None or not is_connected(g):
+            g = build_graph(r + s, [(u, r + w) for u in range(r) for w in range(s)
+                                    if rng.random() < 0.5])
+        rep = classify(g)
+        h = complement(g)
+        assert not rep.partial
+        assert rep.lambda_g == ilp_lambda(g.n, list(g.edges()))
+        assert rep.lambda_gbar == ilp_lambda(h.n, list(h.edges()))
 
 
 def test_theorem_suites_call_the_solver_without_a_floor(monkeypatch):

@@ -237,6 +237,62 @@ def test_census_worker_killed_by_a_signal_exits_2(tmp_path):
     assert not out_file.exists() and os.listdir(tmp_path) == []
 
 
+def test_sigterm_handler_spares_forked_children():
+    """A process forked while a report's SIGTERM handler is in place, such as
+    a census worker, still dies by SIGTERM.  A worker that raised SystemExit
+    instead would catch it in its task loop and live on, and a pool ending
+    its workers after one of them died would wait for it forever."""
+    import signal
+    import time
+
+    from locdom.cli import _sigterm_exits
+
+    ready_r, ready_w = os.pipe()
+    with _sigterm_exits():
+        pid = os.fork()
+        if pid == 0:
+            code = 0
+            try:
+                os.write(ready_w, b"x")
+                time.sleep(30)
+            except BaseException:
+                code = 3
+            finally:
+                os._exit(code)
+        os.read(ready_r, 1)
+        os.kill(pid, signal.SIGTERM)
+        _, status = os.waitpid(pid, 0)
+    os.close(ready_r)
+    os.close(ready_w)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGTERM
+
+
+def test_census_stopped_by_sigterm_leaves_no_files(tmp_path):
+    """SIGTERM (from kill or timeout) in the middle of a census that writes
+    --out ends the run with a non-zero code and no traceback, and leaves
+    neither the report nor its temporary file."""
+    import signal
+    import subprocess
+    import time
+
+    out_file = tmp_path / "census.json"
+    src = os.path.dirname(os.path.dirname(bipartite.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "locdom.cli", "census", "--max-n", "10",
+                             "--out", str(out_file)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    # the temporary file appears once the handler is in place
+    deadline = time.monotonic() + 30
+    while not list(tmp_path.glob("census.json.*.tmp")):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    proc.send_signal(signal.SIGTERM)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode != 0 and stdout == ""
+    assert "Traceback" not in stderr
+    assert os.listdir(tmp_path) == []
+
+
 def test_census_output_paths(tmp_path, capsys):
     """A report sent to a device is written to it, not renamed over it, and an
     unwritable path is named as given, not as its temporary sibling."""
