@@ -34,14 +34,6 @@ class AssociatedGraph:
     def trace(self, v: int) -> VertexSet:
         return VertexSet(self.graph.adj[v] & self.s.bits)
 
-    def edge_label(self, x: int, y: int) -> int | None:
-        if x > y:
-            x, y = y, x
-        for a, b, lab in self.edges:
-            if (a, b) == (x, y):
-                return lab
-        return None
-
 
 @dataclass(frozen=True)
 class LabelSubgraph:
@@ -81,22 +73,19 @@ def build_associated(g: Graph, s: VertexSet) -> AssociatedGraph:
     """
     if not s.issubset(g.vertices()):
         raise ValueError("set contains vertices outside the graph")
-    outside = list(g.vertices() - s)
-    traces = {v: g.adj[v] & s.bits for v in outside}
-    for i in range(len(outside)):
-        for j in range(i + 1, len(outside)):
-            x, y = outside[i], outside[j]
-            if traces[x] == traces[y]:
-                raise ValueError(f"set does not distinguish vertices {x} and {y}")
+    outside = tuple(g.vertices() - s)
+    traced = [(v, g.adj[v] & s.bits) for v in outside]
     edges = []
-    for i in range(len(outside)):
-        for j in range(i + 1, len(outside)):
-            x, y = outside[i], outside[j]
-            diff = traces[x] ^ traces[y]
+    # pairs come in the order i < j, so the first equal pair is the one named
+    for i, (x, tx) in enumerate(traced):
+        for y, ty in traced[i + 1:]:
+            diff = tx ^ ty
             if diff.bit_count() == 1:
                 edges.append((x, y, diff.bit_length() - 1))
-    level = {v: traces[v].bit_count() for v in outside}
-    return AssociatedGraph(g, s, tuple(outside), tuple(edges), level, len(s))
+            elif not diff:
+                raise ValueError(f"set does not distinguish vertices {x} and {y}")
+    level = {v: t.bit_count() for v, t in traced}
+    return AssociatedGraph(g, s, outside, tuple(edges), level, len(s))
 
 
 def label_multiplicity(ag: AssociatedGraph) -> dict[int, int]:
@@ -179,17 +168,15 @@ def edge_induced_subgraph(ag: AssociatedGraph, edges) -> LabelSubgraph:
 def component_trace_check(ls: LabelSubgraph) -> bool:
     """Every component agrees on its trace outside the selected labels.
 
-    The shared value must equal the outside-trace of a lowest-level member.
+    A component passes when its members' traces in S minus the selected
+    labels form a one-element set.  A selected edge changes only its own
+    label, so the components of a label subgraph always pass; a partition
+    that joins two of them with different outside traces does not.
     """
     ag = ls.parent
-    rest = ag.s - ls.selected_labels
-    for comp in ls.components:
-        members = comp.members()
-        outline = {v: ag.graph.adj[v] & rest.bits for v in members}
-        low = min(members, key=lambda v: ag.level[v])
-        if any(outline[v] != outline[low] for v in members):
-            return False
-    return True
+    rest = (ag.s - ls.selected_labels).bits
+    adj = ag.graph.adj
+    return all(len({adj[v] & rest for v in comp}) == 1 for comp in ls.components)
 
 
 def parity_audit(ag: AssociatedGraph) -> bool:
@@ -259,14 +246,17 @@ def path_label_audit(ag: AssociatedGraph, path: list[int]) -> bool:
             raise ValueError(f"vertex {v} is not a vertex of the associated graph")
     if len(set(path)) != len(path):
         raise ValueError("input repeats a vertex, so it is not a path")
+    adj = ag.graph.adj
     labels = []
     for a, b in zip(path, path[1:]):
-        lab = ag.edge_label(a, b)
-        if lab is None:
+        # a and b lie outside S, so they are adjacent exactly when their
+        # traces differ in one vertex, which is the edge's label
+        diff = (adj[a] ^ adj[b]) & ag.s.bits
+        if diff.bit_count() != 1:
             raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
         if ag.level[b] != ag.level[a] + 1:
             raise ValueError("path is not strictly level-increasing")
-        labels.append(lab)
+        labels.append(diff.bit_length() - 1)
     if len(set(labels)) != len(labels):
         return False
     return all(lab in ag.trace(path[j]) for j in range(1, len(path)) for lab in labels[:j])

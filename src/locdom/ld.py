@@ -26,20 +26,10 @@ nonempty traces, so (:func:`_floor` takes the largest of the three):
   k(n - 1 - d) do: k >= (2n - 2) / (n + 2 - d).
 
 The last two are lambda itself on paths and cycles, ceil(2n/5), and on their
-complements, ceil((2n - 2)/5).  A caller may also pass a floor it has proved.
-classify knows the sides U and W of a bipartite G, of sizes r and s, and
-counts the traces each side can carry when S has a members in U and b in W:
-
-* in G the sides are stable, so W - S carries distinct nonempty subsets of
-  S & U and U - S of S & W: s - b <= 2^a - 1 and r - a <= 2^b - 1;
-* in the complement the sides are cliques, so W - S carries S & W plus
-  distinct subsets of S & U, nonempty when b = 0, and U - S likewise, with
-  only S itself open to both: s - b <= 2^a - [b = 0], r - a <= 2^b - [a = 0]
-  and (r - a) + (s - b) <= 2^a - [b = 0] + 2^b - [a = 0] - 1.
-
-Each floor is the least a + b its conditions allow.  The complement starts
-at the larger of its floor and lambda(G) - 1, because an LD-set of the
-complement distinguishes G and leaves at most one vertex of G undominated.
+complements, ceil((2n - 2)/5).  A caller may also pass a floor it has
+proved, and sizes below it are skipped.  :func:`locdom.bipartite._side_floors`
+is that caller: classify counts the traces each side of a bipartite G can
+carry, and starts the complement no lower than lambda(G) - 1.
 """
 
 from __future__ import annotations
@@ -188,10 +178,16 @@ def _solve(g: Graph, kmax: int, collect: bool, floor: int) -> tuple[int, list[in
     """
     if not (0 <= floor <= g.n):
         raise ValueError(f"floor must be in [0, {g.n}], got {floor}")
+    # a floor above kmax rules out every size: answer None before the
+    # components are split and any seal index is built
+    if floor > kmax:
+        return None
     comps = connected_components(g)
     parts = [(g, None)] if len(comps) <= 1 else [induced_subgraph(g, c) for c in comps]
     floors = [_floor(sub.adj) for sub, _ in parts]
     spare = kmax - sum(floors)
+    if spare < 0:
+        return None
     lam = 0
     codes = [0]
     for idx, ((sub, old), low) in enumerate(zip(parts, floors)):

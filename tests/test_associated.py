@@ -5,6 +5,7 @@ import pytest
 
 from locdom.associated import (
     AssociatedGraph,
+    LabelSubgraph,
     build_associated,
     cactus_stats,
     component_trace_check,
@@ -70,6 +71,14 @@ def test_build_associated_rejects_non_distinguishing():
     k23 = complete_bipartite(2, 3)
     with pytest.raises(ValueError, match="distinguish vertices 2 and 3"):
         build_associated(k23, vs(0, 1))
+
+
+def test_build_associated_names_the_first_equal_pair():
+    """Outside traces {0}, {1}, {1}, {0} on vertices 2..5: pairs are taken in
+    the order (2, 3), (2, 4), (2, 5), ..., so 2 and 5 are named, not 3 and 4."""
+    g = build_graph(6, [(0, 2), (1, 3), (1, 4), (0, 5)])
+    with pytest.raises(ValueError, match="distinguish vertices 2 and 5$"):
+        build_associated(g, vs(0, 1))
 
 
 def test_label_multiplicity_extremal_3_6():
@@ -147,6 +156,18 @@ def test_component_traces_random():
         if not sub:
             sub = VertexSet.single(s.members()[0])
         assert component_trace_check(label_subgraph(ag, sub))
+
+
+def test_component_trace_check_rejects_a_merged_component(gadget):
+    """A hand-built "component" joining (9, 10) and (11, 12), whose traces
+    outside the labels {0, 1} are {2} and {3, 4}, fails the check."""
+    g, s = gadget
+    ag = build_associated(g, s)
+    ls = label_subgraph(ag, vs(0, 1))
+    first, second, third = ls.components
+    assert component_trace_check(ls)
+    merged = LabelSubgraph(ag, ls.selected_labels, ls.edges, (first, second | third))
+    assert not component_trace_check(merged)
 
 
 def test_parity_audit_gadget_and_forest(gadget):
@@ -328,6 +349,33 @@ def test_path_label_audit(gadget):
         path_label_audit(ag, [7, 8])  # level 3 -> 2 goes down
     with pytest.raises(ValueError, match="not a vertex"):
         path_label_audit(ag, [0])
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        path_label_audit(ag, [10, 8, 10])
+
+
+def test_path_label_audit_steps_against_the_definition_oracle():
+    """For every pair a, b with b one level above a, the path [a, b] is
+    audited True exactly when the oracle has the edge, and is refused as
+    not adjacent otherwise."""
+    rng = random.Random(131)
+    outcomes = set()
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.8))
+        s = random_distinguishing_set(rng, g)
+        ag = build_associated(g, s)
+        oracle = {(x, y) for x, y, _ in naive_associated_edges(g.n, list(g.edges()), set(s))}
+        for a in ag.vertices:
+            for b in ag.vertices:
+                if ag.level[b] != ag.level[a] + 1:
+                    continue
+                adjacent = (min(a, b), max(a, b)) in oracle
+                outcomes.add(adjacent)
+                if adjacent:
+                    assert path_label_audit(ag, [a, b])
+                else:
+                    with pytest.raises(ValueError, match="not adjacent"):
+                        path_label_audit(ag, [a, b])
+    assert outcomes == {True, False}
 
 
 def test_path_label_audit_random_monotone_paths():

@@ -214,13 +214,15 @@ def test_census_generator_small_counts():
 def test_orderly_enumeration_matches_filter_oracle():
     """The pruned enumerator yields exactly the generate-then-filter multisets,
     in the same order, for every census side pair up to order 10, and so does
-    the concatenation of its prefix subtrees, the census's task split."""
-    for r, s in census_pairs(10):
+    the concatenation of its prefix subtrees, the census's task split.  With
+    s <= 3 the prefixes are whole multisets, each its own subtree."""
+    for r, s in census_pairs(10) + [(1, 2), (1, 3), (2, 3)]:
         ours = list(connected_bipartite_graphs(r, s))
         assert [t for t, _ in ours] == filtered_census_traces(r, s), (r, s)
         assert all(g == graph_from_traces(r, t) for t, g in ours)
         prefixes = list(bipartite._prefixes(r, s))
-        assert prefixes and all(len(p) == bipartite.TASK_PREFIX_LENGTH for p in prefixes)
+        length = min(bipartite.TASK_PREFIX_LENGTH, s)
+        assert prefixes and all(len(p) == length for p in prefixes)
         assert [item for p in prefixes
                 for item in connected_bipartite_graphs(r, s, p)] == ours, (r, s)
     # unsorted, out of range, longer than s, and (2,), which a relabeling
@@ -425,5 +427,5 @@ def test_theorem_suites_call_the_solver_without_a_floor(monkeypatch):
 
     monkeypatch.setattr(suites, "lambda_bruteforce", spy)
     assert suites.thm3_suite()[1] == []
-    assert suites.table1_suite(max_pc=8, max_star=6, max_kb=6, max_bistar=4)[1] == []
+    assert suites.table1_suite()[1] == []
     assert len(calls) > 2000 and all("floor" not in kw for kw in calls)

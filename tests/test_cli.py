@@ -50,6 +50,18 @@ def test_lambda_all_codes_and_bounded(tmp_path, capsys):
     assert code == 0 and rep == {"bounded": 1, "found": False, "size": None, "witness": None}
 
 
+def test_bounded_lambda_of_a_long_path_is_refuted_by_its_floor(capsys, monkeypatch):
+    """family path --n 1500 | lambda - --bounded 1: the degree floor, 600,
+    settles it at once."""
+    import io
+    code, out, _ = run(capsys, "family", "path", "--n", "1500")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "lambda", "-", "--bounded", "1")
+    assert code == 0
+    assert json.loads(out) == {"bounded": 1, "found": False, "size": None, "witness": None}
+
+
 def test_lambda_bounded_and_all_codes_are_exclusive(tmp_path, capsys):
     f = tmp_path / "p7.g6"
     f.write_text(to_graph6(path(7)) + "\n")

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from locdom.bipartite import census_pairs, connected_bipartite_graphs
+from locdom import ld
+from locdom.bipartite import census_pairs, classify, connected_bipartite_graphs
 from locdom.families import complete_bipartite, cycle, path, star
 from locdom.graphs import VertexSet, build_graph, complement, connected_components
 from locdom.ld import (
@@ -237,6 +238,18 @@ def test_lambda_bounded_on_long_paths_and_cycles(family):
         res = lambda_bounded(g, lam)
         assert res.found and res.size == lam and is_ld_set(g, res.witness)
         assert not lambda_bounded(g, lam - 1).found
+
+
+def test_floors_past_kmax_answer_before_any_seal_index(monkeypatch):
+    """path(1500) has a degree floor of 600, far past kmax 1, and K_{1,21}'s
+    stable side floor, 21, is past classify's budget of r + 1 = 2: both are
+    refuted without building a seal index."""
+    def refuse(adj):
+        raise AssertionError("seal index built although a floor exceeds kmax")
+
+    monkeypatch.setattr(ld, "_seal_index", refuse)
+    assert lambda_bounded(path(1500), 1) == (False, None, None)
+    assert classify(star(22)).partial
 
 
 def test_lambda_bounded_matches_ilp_above_the_cap():

@@ -83,8 +83,8 @@ def test_random_distinguishing_set_is_distinguishing():
 
 
 def test_suites_smoke():
-    checked, bad = table1_suite(max_pc=8, max_star=6, max_kb=7, max_bistar=4)
-    assert checked and not bad
+    checked, bad = table1_suite()
+    assert checked == 66 and not bad
     checked, bad = thm3_suite(max_n=5)
     assert checked == 31 and not bad
     checked, bad = parity_suite(seed=1, trials=40, max_n=10)
