@@ -240,6 +240,11 @@ def path_label_audit(ag: AssociatedGraph, path: list[int]) -> bool:
     increase (each edge raises the level by one).  Returns True iff the edge
     labels are pairwise distinct and every label belongs to the trace of every
     later vertex on the path.
+
+    This is a lemma check on graphs that :func:`build_associated` made, where
+    it is always True: there a level is a trace size, so each step adds its
+    label to the trace, and the label stays in every later trace.  It can
+    return False only on a hand-built graph whose levels are not trace sizes.
     """
     for v in path:
         if v not in ag.level:

@@ -23,7 +23,6 @@ from .graphs import (
     VertexSet,
     _bits,
     bipartition,
-    build_graph,
     complement,
 )
 from .ld import ORACLE_CAP, is_ld_set, lambda_bounded, lambda_bruteforce, ld_codes
@@ -217,7 +216,8 @@ def lemma13_audit(g: Graph, code: VertexSet) -> bool:
 # --- census of connected bipartite graphs by trace multisets ---------------
 
 # r! relabeling tables of 2^r entries each: r = 8 takes seconds and about
-# 100 MB, r = 9 would take several GB.
+# 100 MB, r = 9 would take several GB.  The census walk adds as much again
+# for the tables' preimages (see _relabelings).
 PERM_TABLE_MAX_R = 8
 
 
@@ -246,17 +246,16 @@ def canonical_traces(r: int, traces: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def graph_from_traces(r: int, traces: Sequence[int]) -> Graph:
-    """Bipartite graph with U = 0..r-1 and one s-side vertex per trace mask."""
-    edges = [(u, r + wi) for wi, mask in enumerate(traces) for u in _bits(mask)]
-    return build_graph(r + len(traces), edges)
+    """Bipartite graph with U = 0..r-1 and one s-side vertex per trace mask.
 
-
-def _is_canonical_prefix(tables: list[list[int]], prefix: list[int]) -> bool:
-    """True when no relabeling of U sends the prefix to a lex-smaller sorted tuple."""
-    for table in tables:
-        if sorted([table[m] for m in prefix]) < prefix:
-            return False
-    return True
+    Each mask must lie in [0, 2^r); the zero mask gives an isolated vertex."""
+    rows = [0] * r
+    for wi, mask in enumerate(traces):
+        if not 0 <= mask < 1 << r:
+            raise ValueError(f"trace mask {mask} is outside [0, 2^{r})")
+        for u in _bits(mask):
+            rows[u] |= 1 << r + wi
+    return Graph(r + len(traces), (*rows, *traces))
 
 
 def _traces_connected(full: int, traces: tuple[int, ...]) -> bool:
@@ -276,21 +275,141 @@ def _traces_connected(full: int, traces: tuple[int, ...]) -> bool:
         reach = grown
 
 
-def _canonical_tuples(tables: list[list[int]], full: int, prefix: list[int],
+class _Relabelings:
+    """The non-identity relabeling tables of U, by index k, with what the
+    orderly walk looks up in them: ``drops[k]``, the mask with bit x set when
+    table k sends x below x, and ``preimage[k][v]``, the x that table k sends
+    to v."""
+
+    def __init__(self, r: int):
+        self.full = (1 << r) - 1
+        self.tables = _perm_tables(r)[1:]  # the first table is the identity
+        self.drops = [sum(1 << x for x, v in enumerate(table) if v < x)
+                      for table in self.tables]
+        self.preimage = []
+        for table in self.tables:
+            pre = [0] * len(table)
+            for x, v in enumerate(table):
+                pre[v] = x
+            self.preimage.append(pre)
+
+
+@lru_cache(maxsize=8)
+def _relabelings(r: int) -> _Relabelings:
+    return _Relabelings(r)
+
+
+def _below(pre: list[int], p: int) -> int:
+    """The mask of the masks that the table with preimages ``pre`` sends below p."""
+    mask = 0
+    for v in range(p):
+        mask |= 1 << pre[v]
+    return mask
+
+
+# The verdicts of the relabeling tables on a canonical sorted prefix P, as
+# (ties, blocked, recheck).  A table pi either ties, sorted(pi P) = P, or
+# loses: sorted(pi P) first differs from P at some index i and is larger
+# there, and its mark is P[i].  ``ties`` lists the tying tables; ``blocked``
+# holds the masks that some losing table sends below its mark; ``recheck``
+# maps a mask x to the losing tables that send x to their mark.  ``blocked``
+# keeps the bits a table set under an earlier verdict, and they reject
+# nothing wrongly.  Such a bit x >= P[-1] was sent below an earlier mark
+# q <= P[-1].  If the table loses now, its mark is at least q; if it ties,
+# it rejects every x >= P[-1] that it sends below x.
+_Verdicts = tuple[list[int], int, dict[int, tuple[int, ...]]]
+
+
+def _rejected(rel: _Relabelings, verdicts: _Verdicts) -> int:
+    """The mask of the masks m whose appending to P some table beats.
+
+    Let v = pi(m) for m >= P[-1].  A tie is beaten when v < m.  A loser with
+    mark p = P[i] is beaten when v < p: the image gains v before index i and
+    sorts below P there.  When v > p it loses again with the same mark, for
+    the image still agrees with P before i and exceeds p at i.  Only v = p
+    leaves the verdict open; those tables are in ``recheck[m]``."""
+    ties, blocked, _ = verdicts
+    drops = rel.drops
+    for k in ties:
+        blocked |= drops[k]
+    return blocked
+
+
+def _extend(rel: _Relabelings, prefix: list[int], verdicts: _Verdicts) -> _Verdicts | None:
+    """The verdicts at ``prefix`` from those at ``prefix[:-1]``, or None when
+    a table beats ``prefix``.  Its last mask m must not be :func:`_rejected`.
+
+    A tie with pi(m) = m ties again, and one with pi(m) > m loses with mark
+    m.  The tables in ``recheck[m]`` re-sort their image of ``prefix``; every
+    other verdict, and so every other mark, carries over as it is."""
+    tables, preimage = rel.tables, rel.preimage
+    ties, blocked, recheck = verdicts
+    m = prefix[-1]
+    new_ties, marked = [], []
+    recheck = dict(recheck)
+    for k in recheck.pop(m, ()):
+        image = sorted([tables[k][x] for x in prefix])
+        diff = next(((v, p) for v, p in zip(image, prefix) if v != p), None)
+        if diff is None:
+            new_ties.append(k)
+        elif diff[0] < diff[1]:
+            return None
+        else:
+            marked.append((k, diff[1]))
+    for k in ties:
+        if tables[k][m] == m:
+            new_ties.append(k)
+        else:
+            marked.append((k, m))
+    for k, p in marked:
+        pre = preimage[k]
+        blocked |= _below(pre, p)
+        if pre[p] >= m:
+            recheck[pre[p]] = recheck.get(pre[p], ()) + (k,)
+    return new_ties, blocked, recheck
+
+
+def _root_verdicts(rel: _Relabelings, prefix: Sequence[int]) -> _Verdicts | None:
+    """The verdicts at ``prefix``, or None when it is not a sorted tuple of
+    masks in [1, full] that no relabeling beats.  Every table ties on the
+    empty prefix, and each mask is appended as the walk appends it."""
+    verdicts = (list(range(len(rel.tables))), 0, {})
+    for j, m in enumerate(prefix):
+        if not (prefix[j - 1] if j else 1) <= m <= rel.full:
+            return None
+        if _rejected(rel, verdicts) >> m & 1:
+            return None
+        verdicts = _extend(rel, list(prefix[:j + 1]), verdicts)
+        if verdicts is None:
+            return None
+    return verdicts
+
+
+def _canonical_tuples(rel: _Relabelings, prefix: list[int], verdicts: _Verdicts,
                       length: int) -> Iterator[tuple[int, ...]]:
     """The canonical sorted tuples of ``length`` masks that extend the canonical
-    ``prefix``, in increasing order.  ``prefix`` is grown in place and restored."""
+    ``prefix``, whose verdicts are given, in increasing order.  ``prefix`` is
+    grown in place and restored."""
     if len(prefix) == length:
         yield tuple(prefix)
         return
+    tables = rel.tables
+    recheck = verdicts[2]
+    rejected = _rejected(rel, verdicts)
     last = len(prefix) + 1 == length
-    for m in range(prefix[-1] if prefix else 1, full + 1):
+    for m in range(prefix[-1] if prefix else 1, rel.full + 1):
+        if rejected >> m & 1:
+            continue
         prefix.append(m)
-        if _is_canonical_prefix(tables, prefix):
-            if last:
+        if last:
+            # a leaf needs only the yes or no of _extend
+            if not any(sorted([tables[k][x] for x in prefix]) < prefix
+                       for k in recheck.get(m, ())):
                 yield tuple(prefix)
-            else:
-                yield from _canonical_tuples(tables, full, prefix, length)
+        else:
+            child = _extend(rel, prefix, verdicts)
+            if child is not None:
+                yield from _canonical_tuples(rel, prefix, child, length)
         prefix.pop()
 
 
@@ -304,8 +423,8 @@ TASK_PREFIX_LENGTH = 3
 def _prefixes(r: int, s: int) -> Iterator[tuple[int, ...]]:
     """The canonical prefixes of the (r, s) trace multisets that root the
     census tasks, in increasing order."""
-    return _canonical_tuples(_perm_tables(r)[1:], (1 << r) - 1, [],
-                             min(TASK_PREFIX_LENGTH, s))
+    rel = _relabelings(r)
+    return _canonical_tuples(rel, [], _root_verdicts(rel, ()), min(TASK_PREFIX_LENGTH, s))
 
 
 def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
@@ -327,20 +446,25 @@ def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
     (canonical trace multiset, graph) pairs come in canonical order.
     Connectivity is read off the masks, so only connected graphs are built.
 
+    The test is incremental: each accepted prefix carries every non-identity
+    relabeling's verdict down the walk, a tie or a loss with a mark (see
+    :func:`_rejected`).  Appending m decides each verdict from pi(m) alone,
+    except for the losers that send m to their mark, which re-sort their
+    image.  No table is ever dropped: a table that loses on a prefix can
+    still beat an extension of it.
+
     A nonempty ``prefix`` restricts the walk to the multisets that start with
     it, which must be a canonical sorted prefix; the walks from the prefixes
     of one length, taken in increasing order, together give the whole walk.
     """
     if not r < s:
         raise ValueError(f"census enumeration requires r < s, got ({r}, {s})")
-    tables = _perm_tables(r)[1:]  # the first table is the identity
-    full = (1 << r) - 1
-    start = list(prefix)
-    if start and not (len(start) <= s and start == sorted(start) and 1 <= start[0]
-                      and start[-1] <= full and _is_canonical_prefix(tables, start)):
+    rel = _relabelings(r)
+    verdicts = _root_verdicts(rel, prefix) if len(prefix) <= s else None
+    if verdicts is None:
         raise ValueError(f"{prefix} is not a canonical prefix of the ({r}, {s}) census")
-    for traces in _canonical_tuples(tables, full, start, s):
-        if _traces_connected(full, traces):
+    for traces in _canonical_tuples(rel, list(prefix), verdicts, s):
+        if _traces_connected(rel.full, traces):
             yield traces, graph_from_traces(r, traces)
 
 

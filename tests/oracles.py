@@ -123,6 +123,13 @@ def naive_associated_edges(n: int, edges, s: set[int]) -> set[tuple[int, int, in
     return out
 
 
+def _relabeling_maps(r: int) -> list[dict[int, int]]:
+    """Every relabeling of U = {0..r-1}, as a map on nonempty subset masks."""
+    masks = range(1, 1 << r)
+    return [{m: sum(1 << perm[b] for b in range(r) if m >> b & 1) for m in masks}
+            for perm in permutations(range(r))]
+
+
 def filtered_census_traces(r: int, s: int) -> list[tuple[int, ...]]:
     """Census trace multisets by generate-then-filter, in generation order.
 
@@ -130,11 +137,9 @@ def filtered_census_traces(r: int, s: int) -> list[tuple[int, ...]]:
     ``combinations_with_replacement``, kept when no relabeling of U sorts it
     lex-smaller and the bipartite graph it describes is connected.
     """
-    masks = range(1, 1 << r)
-    images = [{m: sum(1 << perm[b] for b in range(r) if m >> b & 1) for m in masks}
-              for perm in permutations(range(r))]
+    images = _relabeling_maps(r)
     out = []
-    for traces in combinations_with_replacement(masks, s):
+    for traces in combinations_with_replacement(range(1, 1 << r), s):
         if any(tuple(sorted(img[m] for m in traces)) < traces for img in images):
             continue
         G = nx.Graph()
@@ -142,6 +147,33 @@ def filtered_census_traces(r: int, s: int) -> list[tuple[int, ...]]:
         G.add_edges_from((u, r + i) for i, m in enumerate(traces) for u in range(r) if m >> u & 1)
         if nx.is_connected(G):
             out.append(traces)
+    return out
+
+
+def orderly_canonical_tuples(r: int, length: int) -> list[tuple[int, ...]]:
+    """Every canonical sorted tuple of ``length`` nonempty masks over
+    U = {0..r-1}, connected or not, in increasing order, by an orderly walk
+    with a full scan.
+
+    The walk grows a sorted tuple one mask at a time, never below its last
+    mask, and re-sorts each grown prefix's image under every relabeling of U.
+    It keeps the prefix when no image sorts lex-smaller.  No verdict is
+    carried from a prefix to its extensions.
+    """
+    images = _relabeling_maps(r)
+    out = []
+
+    def grow(prefix: list[int]) -> None:
+        if len(prefix) == length:
+            out.append(tuple(prefix))
+            return
+        for m in range(prefix[-1] if prefix else 1, 1 << r):
+            prefix.append(m)
+            if not any(sorted([img[x] for x in prefix]) < prefix for img in images):
+                grow(prefix)
+            prefix.pop()
+
+    grow([])
     return out
 
 

@@ -353,6 +353,24 @@ def test_path_label_audit(gadget):
         path_label_audit(ag, [10, 8, 10])
 
 
+def test_path_label_audit_false_on_forged_levels():
+    """On a graph that build_associated made, levels are trace sizes and the
+    audit is always True (the lemma).  Its False branches need forged levels:
+    here S = {0, 1}, vertices 2, 3, 4 sit on levels 1, 2, 3, and only
+    vertex 3's trace has two members."""
+    def forged(edges, assoc_edges):
+        return AssociatedGraph(build_graph(5, edges), VertexSet.of((0, 1)), (2, 3, 4),
+                               assoc_edges, {2: 1, 3: 2, 4: 3}, 2)
+
+    # traces {0}, {0, 1}, {0}: both steps carry label 1
+    repeated = forged([(0, 2), (0, 3), (1, 3), (0, 4)], ((2, 3, 1), (3, 4, 1)))
+    assert not path_label_audit(repeated, [2, 3, 4])
+    # traces {0}, {0, 1}, {1}: labels 1 then 0, and vertex 4's trace lacks 0
+    dropped = forged([(0, 2), (0, 3), (1, 3), (1, 4)], ((2, 3, 1), (3, 4, 0)))
+    assert not path_label_audit(dropped, [2, 3, 4])
+    assert path_label_audit(dropped, [2, 3])
+
+
 def test_path_label_audit_steps_against_the_definition_oracle():
     """For every pair a, b with b one level above a, the path [a, b] is
     audited True exactly when the oracle has the edge, and is refused as

@@ -23,7 +23,7 @@ from locdom.graphs import (Bipartition, VertexSet, bipartition, build_graph, com
 from locdom.ld import lambda_bruteforce
 
 from oracles import (bicolored_connected_counts, filtered_census_traces, ilp_lambda,
-                     naive_lambda, trace_count_floors)
+                     naive_lambda, orderly_canonical_tuples, trace_count_floors)
 
 
 def test_condition_triple_extremal_3_6():
@@ -232,16 +232,38 @@ def test_orderly_enumeration_matches_filter_oracle():
             next(connected_bipartite_graphs(3, 4, prefix))
 
 
+def test_incremental_walk_matches_the_full_scan_walk():
+    """The walk that carries each relabeling's verdict yields the same
+    canonical tuples, disconnected ones included, in the same order as the
+    reference walk that re-sorts every prefix under every relabeling.  (5, 6)
+    is the largest pair checked; the small pairs cover r = 1 and 2."""
+    for r, length in [(1, 3), (2, 4), (3, 5), (3, 7), (4, 6), (5, 6)]:
+        rel = bipartite._relabelings(r)
+        walk = bipartite._canonical_tuples(rel, [], bipartite._root_verdicts(rel, ()), length)
+        assert list(walk) == orderly_canonical_tuples(r, length), (r, length)
+
+
 def test_census_counts_match_the_burnside_oracle():
     """Enumerated classes per side pair equal the independent Burnside count
-    through order 11.  (5, 6) is left to the slow order-12 census: its 19,687
-    graphs are most of the enumeration time to order 11."""
+    for every census pair through order 11, (5, 6) with its 19,687 graphs
+    included."""
     oracle = bicolored_connected_counts(11)
     assert {(r, s): oracle[r, s] for r, s in census_pairs(10)} == {
         (3, 4): 34, (3, 5): 76, (3, 6): 155, (3, 7): 290, (4, 5): 558, (4, 6): 1824}
+    assert oracle[5, 6] == 19687
     for r, s in census_pairs(11):
-        if (r, s) != (5, 6):
-            assert sum(1 for _ in connected_bipartite_graphs(r, s)) == oracle[r, s], (r, s)
+        assert sum(1 for _ in connected_bipartite_graphs(r, s)) == oracle[r, s], (r, s)
+
+
+def test_graph_from_traces_rejects_masks_outside_u():
+    """A mask with a bit at or above r would add an edge inside W or a
+    self-loop, and a negative one has no finite set of bits: all are refused.
+    The zero mask is an isolated W vertex."""
+    for traces in ([8, 1], [4], [1, -1]):
+        with pytest.raises(ValueError, match=r"trace mask -?\d+ is outside \[0, 2\^2\)"):
+            graph_from_traces(2, traces)
+    g = graph_from_traces(2, [0, 3])
+    assert g.n == 4 and g.adj == (0b1000, 0b1000, 0, 0b11)
 
 
 def test_census_entry_checks_pass_on_known_graphs():
