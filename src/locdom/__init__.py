@@ -11,20 +11,17 @@ from .associated import (
     label_multiplicity,
     label_subgraph,
     parity_audit,
-    path_label_audit,
 )
 from .bipartite import (
     CensusEntry,
     ClassificationReport,
     ConditionTriple,
-    canonical_traces,
     classify,
     condition_triple,
     connected_bipartite_graphs,
     corollary16_audit,
     feasibility_window,
     graph_from_traces,
-    lemma13_audit,
     run_census,
 )
 from .families import (
@@ -52,7 +49,6 @@ from .graphio import (
 from .graphs import (
     Bipartition,
     Graph,
-    TwinPair,
     VertexSet,
     bipartition,
     build_graph,
@@ -61,7 +57,6 @@ from .graphs import (
     delete_vertex,
     induced_subgraph,
     is_connected,
-    twin_pairs,
 )
 from .ld import (
     BoundedResult,

@@ -231,37 +231,3 @@ def _cycles_edge_disjoint(tree: dict[int, tuple[int, int, int]], edges) -> bool:
             marked.add(x)
             x = tree[x][0]
     return True
-
-
-def path_label_audit(ag: AssociatedGraph, path: list[int]) -> bool:
-    """Check the label structure of a level-increasing path.
-
-    The input must be a path of associated-graph edges whose levels strictly
-    increase (each edge raises the level by one).  Returns True iff the edge
-    labels are pairwise distinct and every label belongs to the trace of every
-    later vertex on the path.
-
-    This is a lemma check on graphs that :func:`build_associated` made, where
-    it is always True: there a level is a trace size, so each step adds its
-    label to the trace, and the label stays in every later trace.  It can
-    return False only on a hand-built graph whose levels are not trace sizes.
-    """
-    for v in path:
-        if v not in ag.level:
-            raise ValueError(f"vertex {v} is not a vertex of the associated graph")
-    if len(set(path)) != len(path):
-        raise ValueError("input repeats a vertex, so it is not a path")
-    adj = ag.graph.adj
-    labels = []
-    for a, b in zip(path, path[1:]):
-        # a and b lie outside S, so they are adjacent exactly when their
-        # traces differ in one vertex, which is the edge's label
-        diff = (adj[a] ^ adj[b]) & ag.s.bits
-        if diff.bit_count() != 1:
-            raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
-        if ag.level[b] != ag.level[a] + 1:
-            raise ValueError("path is not strictly level-increasing")
-        labels.append(diff.bit_length() - 1)
-    if len(set(labels)) != len(labels):
-        return False
-    return all(lab in ag.trace(path[j]) for j in range(1, len(path)) for lab in labels[:j])

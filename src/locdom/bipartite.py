@@ -11,9 +11,10 @@ when U fails to distinguish W, i.e. when W has twins.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator, Sequence
 
 from .associated import build_associated, label_multiplicity
@@ -25,7 +26,7 @@ from .graphs import (
     bipartition,
     complement,
 )
-from .ld import ORACLE_CAP, is_ld_set, lambda_bounded, lambda_bruteforce, ld_codes
+from .ld import ORACLE_CAP, lambda_bounded, lambda_bruteforce, ld_codes
 
 
 @dataclass(frozen=True)
@@ -192,25 +193,13 @@ def corollary16_audit(g: Graph) -> bool:
     return ld_codes(g) == [bp.U]
 
 
-def lemma13_audit(g: Graph, code: VertexSet) -> bool:
-    """Mixed-side codes (and the other two triggers) force relation <= 0.
-
-    Vacuously true when no trigger applies.  Raises when ``code`` is not a
-    minimum LD-set of g.
-    """
-    bp = _sides(g)
-    rep = lambda_bruteforce(g)
-    if len(code) != rep.lam or not is_ld_set(g, code):
-        raise ValueError("code is not a minimum LD-set of the graph")
-    triggers = (
-        (code & bp.U and code & bp.W)
-        or (bp.r < bp.s and code == bp.W)
-        or 2**bp.r <= bp.s
-    )
-    if not triggers:
-        return True
-    lam_bar = lambda_bruteforce(complement(g)).lam
-    return lam_bar <= rep.lam
+def _lemma13_fires(bp: Bipartition, code: VertexSet) -> bool:
+    """Whether a minimum LD-set ``code`` meets a hypothesis of Lemma 13: it
+    has members on both sides, or it is W and r < s, or 2^r <= s.  Each
+    forces lambda(complement) <= lambda(G)."""
+    return (bool(code & bp.U and code & bp.W)
+            or (bp.r < bp.s and code == bp.W)
+            or 1 << bp.r <= bp.s)
 
 
 # --- census of connected bipartite graphs by trace multisets ---------------
@@ -233,16 +222,6 @@ def _perm_tables(r: int) -> list[list[int]]:
             table += [t | 1 << perm[i] for t in table]
         tables.append(table)
     return tables
-
-
-def canonical_traces(r: int, traces: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least relabeling of a trace multiset under permutations of U."""
-    best = None
-    for table in _perm_tables(r):
-        cand = tuple(sorted(table[m] for m in traces))
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 def graph_from_traces(r: int, traces: Sequence[int]) -> Graph:
@@ -468,6 +447,10 @@ def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
             yield traces, graph_from_traces(r, traces)
 
 
+# The census checks in report order; each is a CensusEntry field NAME_ok.
+CENSUS_CHECKS = ("equivalence", "twin_form", "cor16", "window", "lemma13")
+
+
 @dataclass(frozen=True)
 class CensusEntry:
     r: int
@@ -479,9 +462,15 @@ class CensusEntry:
     twin_form_ok: bool
     cor16_ok: bool
     window_ok: bool
+    lemma13_ok: bool
 
     def ok(self) -> bool:
-        return self.equivalence_ok and self.twin_form_ok and self.cor16_ok and self.window_ok
+        return (self.equivalence_ok and self.twin_form_ok and self.cor16_ok
+                and self.window_ok and self.lemma13_ok)
+
+    def failed_checks(self) -> list[str]:
+        """The names of the checks that fail, in ``CENSUS_CHECKS`` order."""
+        return [name for name in CENSUS_CHECKS if not getattr(self, f"{name}_ok")]
 
 
 def census_pairs(max_n: int) -> list[tuple[int, int]]:
@@ -493,15 +482,17 @@ def check_census_graph(r: int, s: int, traces: tuple[int, ...], g: Graph) -> Cen
     the graph of ``traces``."""
     # a connected graph has one pair of sides, and U = 0..r-1 is the smaller
     u_side = VertexSet((1 << r) - 1)
-    report = _classify(g, Bipartition(u_side, g.vertices() - u_side, r, s))
+    bp = Bipartition(u_side, g.vertices() - u_side, r, s)
+    report = _classify(g, bp)
     conds = report.conditions
     plus_one = report.relation == 1
     equivalence_ok = conds.all_hold() == plus_one
     twin_form_ok = conds.c3 == conds.c3_twin_form
     cor16_ok = corollary16_audit(g) if plus_one else True
     window_ok = feasibility_window(r, s) if plus_one else True
+    lemma13_ok = report.relation <= 0 or not _lemma13_fires(bp, report.witness_g)
     return CensusEntry(r, s, traces, g, report, equivalence_ok, twin_form_ok,
-                       cor16_ok, window_ok)
+                       cor16_ok, window_ok, lemma13_ok)
 
 
 class CensusError(RuntimeError):
@@ -529,10 +520,11 @@ def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     per canonical prefix of ``TASK_PREFIX_LENGTH`` masks (see
     :func:`connected_bipartite_graphs`), and one task function enumerates and
     checks a prefix's subtree.  The tasks run through ``map`` for one job and
-    through a process pool's ``map`` for more; both return results in task
-    order, and ``census_pairs`` lists (r, s) in increasing order, so entries
-    come in (r, s, trace multiset) order whatever the job count.  A failing
-    task, or a worker process that dies, raises :class:`CensusError`.
+    through a process pool for more, with at most ``2 * jobs`` in flight;
+    both collect results in task order, and ``census_pairs`` lists (r, s) in
+    increasing order, so entries come in (r, s, trace multiset) order
+    whatever the job count.  A failing task, or a worker process that dies,
+    raises :class:`CensusError`.
 
     The arguments are checked when this is called, before anything is
     enumerated.  Orders above ``ORACLE_CAP`` are refused: classify gives
@@ -560,11 +552,21 @@ def _stream_census(max_n: int, jobs: int) -> Iterator[CensusEntry]:
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    # map submits every task and cancels those pending when a result raises;
-    # a worker that dies breaks the pool, where multiprocessing.Pool would hang
+    # at most 2 * jobs tasks are in flight, taken in task order, so the parent
+    # holds the entries of that many finished tasks at most; a worker that
+    # dies breaks the pool, where multiprocessing.Pool would hang
     with ProcessPoolExecutor(jobs) as pool:
+        pending = deque()
         try:
-            for batch in pool.map(_census_task, tasks):
+            for task in islice(tasks, 2 * jobs):
+                pending.append(pool.submit(_census_task, task))
+            while pending:
+                batch = pending.popleft().result()
+                for task in islice(tasks, 1):
+                    pending.append(pool.submit(_census_task, task))
                 yield from batch
         except BrokenProcessPool as exc:
             raise CensusError(f"a census worker process died: {exc}") from exc
+        finally:
+            for future in pending:
+                future.cancel()

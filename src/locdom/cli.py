@@ -17,6 +17,7 @@ import signal
 import sys
 import threading
 import time
+from typing import Iterable
 
 from . import suites
 from .associated import build_associated, cactus_stats, component_trace_check, \
@@ -164,18 +165,24 @@ def _json_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _json_list(items: Iterable[str]) -> str:
+    """A nonempty list of encoded items, as the value of a row's field."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
 def _json_witness(v: VertexSet | None) -> str:
     if v is None:
         return "null"
     if not v:
         return "[]"
-    return "[\n        " + ",\n        ".join(map(str, v)) + "\n      ]"
+    return _json_list(map(str, v))
 
 
-def _census_row_json(key: str, rep: ClassificationReport, ok: bool) -> str:
+def _census_row_json(key: str, rep: ClassificationReport, failed: list[str]) -> str:
     """One census entry laid out as ``json.dump(indent=2)`` lays it out in the
-    report's entries list: the row ``{"key": key, **_classify_json(rep), "ok": ok}``,
-    without the cost of the pure-Python encoder."""
+    report's entries list: the row ``{"key": key, **_classify_json(rep), "ok": ok}``
+    with ``ok = not failed``, and ``"failed_checks": failed`` after it when
+    ``failed`` names some checks, without the cost of the pure-Python encoder."""
     c = rep.conditions
     return (
         "{\n"
@@ -195,8 +202,9 @@ def _census_row_json(key: str, rep: ClassificationReport, ok: bool) -> str:
         f'      "witness": {_json_witness(rep.witness_g)},\n'
         f'      "witness_bar": {_json_witness(rep.witness_gbar)},\n'
         f'      "partial": {_json_bool(rep.partial)},\n'
-        f'      "ok": {_json_bool(ok)}\n'
-        "    }"
+        f'      "ok": {_json_bool(not failed)}'
+        + (f',\n      "failed_checks": {_json_list(map(json.dumps, failed))}' if failed else "")
+        + "\n    }"
     )
 
 
@@ -289,7 +297,7 @@ def cmd_census(args) -> int:
             by_relation[str(rep.relation)] += 1
             if not ok:
                 counterexamples.append(key)
-            out.write(sep + _census_row_json(key, rep, ok))
+            out.write(sep + _census_row_json(key, rep, [] if ok else e.failed_checks()))
             sep = ",\n    "
             if csv is not None:
                 c = rep.conditions

@@ -1,4 +1,4 @@
-"""Immutable graph substrate: vertex sets, graphs, bipartitions, twins, components.
+"""Immutable graph substrate: vertex sets, graphs, bipartitions, components.
 
 Vertices are dense 0-based indices, and every set of them is a bitmask with
 bit v for vertex v.  Adjacency rows are plain int masks, so a trace inside a
@@ -131,15 +131,6 @@ class Bipartition:
     s: int
 
 
-@dataclass(frozen=True)
-class TwinPair:
-    """Pair u < v with N(u)=N(v) (kind 'open') or N[u]=N[v] (kind 'closed')."""
-
-    u: int
-    v: int
-    kind: str
-
-
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
@@ -220,31 +211,6 @@ def bipartition(g: Graph) -> Bipartition | None:
         side0, side1 = side1, side0
     # tie-break: vertex 0 is layer 0, so side0 already contains it
     return Bipartition(side0, side1, len(side0), len(side1))
-
-
-def twin_pairs(g: Graph, restrict: VertexSet | None = None) -> list[TwinPair]:
-    """All twin pairs inside ``restrict`` (default: all vertices), sorted by (u, v).
-
-    u and v are twins when N(u)=N(v) (open) or N[u]=N[v] (closed); for
-    distinct vertices the two equalities are mutually exclusive.
-    """
-    if restrict is None:
-        restrict = g.vertices()
-    if not restrict.issubset(g.vertices()):
-        raise ValueError("restrict set contains vertices outside the graph")
-    verts = restrict.members()
-    out = []
-    for a in range(len(verts)):
-        u = verts[a]
-        nu = g.adj[u]
-        for b in range(a + 1, len(verts)):
-            v = verts[b]
-            nv = g.adj[v]
-            if nu == nv:
-                out.append(TwinPair(u, v, "open"))
-            elif nu | (1 << u) == nv | (1 << v):
-                out.append(TwinPair(u, v, "closed"))
-    return out
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, list[int]]:

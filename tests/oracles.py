@@ -6,6 +6,7 @@ networkx), deliberately avoiding the bitmask/pruning code paths under test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
@@ -111,6 +112,33 @@ def naive_codes(n: int, edges) -> list[tuple[int, ...]]:
     return [c for c in combinations(range(n), lam) if naive_is_ld(adj, set(c))]
 
 
+@dataclass(frozen=True)
+class TwinPair:
+    """Pair u < v with N(u)=N(v) (kind 'open') or N[u]=N[v] (kind 'closed')."""
+
+    u: int
+    v: int
+    kind: str
+
+
+def twin_pairs(g, restrict=None) -> list[TwinPair]:
+    """All twin pairs inside ``restrict`` (default: all vertices), sorted by
+    (u, v), from neighbourhood sets: the reference for c1, "W has no twins".
+
+    For distinct vertices the open and closed equalities are mutually
+    exclusive.
+    """
+    adj = adj_sets(g.n, g.edges())
+    verts = range(g.n) if restrict is None else restrict.members()
+    out = []
+    for u, v in combinations(verts, 2):
+        if adj[u] == adj[v]:
+            out.append(TwinPair(u, v, "open"))
+        elif adj[u] | {u} == adj[v] | {v}:
+            out.append(TwinPair(u, v, "closed"))
+    return out
+
+
 def naive_associated_edges(n: int, edges, s: set[int]) -> set[tuple[int, int, int]]:
     """Symmetric-difference-one trace pairs, straight from the definition."""
     adj = adj_sets(n, edges)
@@ -128,6 +156,11 @@ def _relabeling_maps(r: int) -> list[dict[int, int]]:
     masks = range(1, 1 << r)
     return [{m: sum(1 << perm[b] for b in range(r) if m >> b & 1) for m in masks}
             for perm in permutations(range(r))]
+
+
+def canonical_multiset(r: int, traces) -> tuple[int, ...]:
+    """The lex-least sorted image of a trace multiset under the relabelings of U."""
+    return min(tuple(sorted(img[m] for m in traces)) for img in _relabeling_maps(r))
 
 
 def filtered_census_traces(r: int, s: int) -> list[tuple[int, ...]]:

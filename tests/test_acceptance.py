@@ -79,10 +79,12 @@ def test_c3_characterization_census():
     bad_twin = [e for e in entries if not e.twin_form_ok]
     bad_cor16 = [e for e in entries if not e.cor16_ok]
     bad_window = [e for e in entries if not e.window_ok]
+    bad_lemma13 = [e for e in entries if not e.lemma13_ok]
     assert bad_equiv == [], bad_equiv[:3]
     assert bad_twin == [], bad_twin[:3]
     assert bad_cor16 == [], bad_cor16[:3]
     assert bad_window == [], bad_window[:3]
+    assert bad_lemma13 == [], bad_lemma13[:3]
     plus = [e for e in entries if e.report.relation == 1]
     assert plus, "the census must contain gain witnesses"
     assert all(feasibility_window(e.r, e.s) for e in plus)

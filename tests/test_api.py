@@ -1,0 +1,25 @@
+import types
+
+import locdom
+
+
+def test_public_names_are_pinned():
+    """The names the package exports, modules aside; removing or adding one
+    is an API change and updates this list."""
+    names = sorted(n for n in dir(locdom) if not n.startswith("_")
+                   and not isinstance(getattr(locdom, n), types.ModuleType))
+    assert names == [
+        "AssociatedGraph", "Bipartition", "BoundedResult", "CactusStats", "CensusEntry",
+        "ClassificationReport", "ConditionTriple", "ExtremalWitness", "FamilySpec", "Graph",
+        "Graph6Error", "LDReport", "LabelSubgraph", "VertexSet", "banner", "bipartition",
+        "bistar", "build_associated", "build_graph", "cactus_stats", "classify", "complement",
+        "complete_bipartite", "component_trace_check", "condition_triple",
+        "connected_bipartite_graphs", "connected_components", "corollary16_audit", "cycle",
+        "delete_vertex", "edge_induced_subgraph", "export_dot", "extremal",
+        "feasibility_window", "generate", "graph_from_traces", "induced_subgraph",
+        "is_connected", "is_distinguishing", "is_dominating", "is_ld_set",
+        "label_multiplicity", "label_subgraph", "lambda_bounded", "lambda_bruteforce",
+        "ld_codes", "parity_audit", "parse_documents", "parse_edge_list", "parse_graph6",
+        "path", "run_census", "star", "table1_expected", "to_edge_list", "to_graph6",
+        "undominated_vertex",
+    ]

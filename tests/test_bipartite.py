@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from locdom import bipartite, suites
 from locdom.bipartite import (
+    CENSUS_CHECKS,
     ClassificationReport,
-    canonical_traces,
     census_pairs,
     check_census_graph,
     classify,
@@ -14,16 +15,16 @@ from locdom.bipartite import (
     corollary16_audit,
     feasibility_window,
     graph_from_traces,
-    lemma13_audit,
     run_census,
 )
 from locdom.families import bistar, complete_bipartite, cycle, extremal, path, star
 from locdom.graphs import (Bipartition, VertexSet, bipartition, build_graph, complement,
-                           is_connected, twin_pairs)
-from locdom.ld import lambda_bruteforce
+                           is_connected)
+from locdom.ld import lambda_bruteforce, ld_codes
 
-from oracles import (bicolored_connected_counts, filtered_census_traces, ilp_lambda,
-                     naive_lambda, orderly_canonical_tuples, trace_count_floors)
+from oracles import (bicolored_connected_counts, canonical_multiset, filtered_census_traces,
+                     ilp_lambda, naive_lambda, orderly_canonical_tuples, trace_count_floors,
+                     twin_pairs)
 
 
 def test_condition_triple_extremal_3_6():
@@ -155,41 +156,46 @@ def test_corollary16_audit_extremal():
 
 
 def test_lemma13_audit_examples():
-    p6 = path(6)
-    mixed = VertexSet.of((0, 2, 5))  # hits both sides of the bipartition
-    assert lemma13_audit(p6, mixed)
-    k25 = complete_bipartite(2, 5)  # 2^r <= s trigger
-    code = lambda_bruteforce(k25).witness
-    assert lemma13_audit(k25, code)
-    with pytest.raises(ValueError, match="minimum LD-set"):
-        lemma13_audit(p6, VertexSet.of((0, 1)))
+    """The Lemma 13 trigger, one hand example per hypothesis and two codes
+    that fire none.  Every minimum LD-set of a graph with 2^r <= s is mixed
+    or W (W - S is undominated by a code inside W, and U holds too few
+    traces for W), so that hypothesis never decides alone on one; U of
+    K_{2,5}, which is not an LD-set, exercises it."""
+    def fires(g, members):
+        return bipartite._lemma13_fires(bipartition(g), VertexSet.of(members))
+
+    p6 = path(6)  # sides {0, 2, 4} and {1, 3, 5}
+    assert VertexSet.of((0, 2, 5)) in ld_codes(p6) and fires(p6, (0, 2, 5))
+    # W = {1, 3, 5} is a minimum LD-set too, but r = s
+    assert VertexSet.of((1, 3, 5)) in ld_codes(p6) and not fires(p6, (1, 3, 5))
+    tree = graph_from_traces(2, (1, 1, 3))  # U = {0, 1}, W = {2, 3, 4}
+    assert VertexSet.of((2, 3, 4)) in ld_codes(tree) and fires(tree, (2, 3, 4))
+    assert fires(complete_bipartite(2, 5), (0, 1))
+    ext = extremal(3, 6).graph  # U = {0, 1, 2} is its only minimum LD-set
+    assert ld_codes(ext) == [VertexSet.of((0, 1, 2))] and not fires(ext, (0, 1, 2))
 
 
 def test_lemma13_audit_holds_over_census_codes():
-    from locdom.ld import ld_codes
-    for r, s in ((3, 4), (3, 5)):
-        for _, g in connected_bipartite_graphs(r, s):
-            for code in ld_codes(g):
-                assert lemma13_audit(g, code)
-
-
-def test_canonical_traces_identifies_isomorphs():
-    rng = random.Random(131)
-    from itertools import permutations
-    for _ in range(40):
-        r = rng.randint(2, 4)
-        s = rng.randint(2, 5)
-        traces = tuple(sorted(rng.randint(1, 2**r - 1) for _ in range(s)))
-        perm = rng.choice(list(permutations(range(r))))
-        permuted = tuple(sorted(
-            sum(1 << perm[b] for b in range(r) if (m >> b) & 1) for m in traces))
-        assert canonical_traces(r, traces) == canonical_traces(r, permuted)
+    """Every minimum LD-set of every census graph of order <= 8, the (3, 4)
+    and (3, 5) pairs, that fires the Lemma 13 trigger belongs to a graph whose
+    relation is <= 0, and the census's own check passes on every entry."""
+    entries = list(run_census(8))
+    assert {(e.r, e.s) for e in entries} == {(3, 4), (3, 5)}
+    fired = witness_fired_at_zero = 0
+    for e in entries:
+        bp = bipartition(e.graph)
+        for code in ld_codes(e.graph):
+            if bipartite._lemma13_fires(bp, code):
+                fired += 1
+                assert e.report.relation <= 0, (e.traces, code)
+        assert e.lemma13_ok
+        witness_fired_at_zero += (e.report.relation == 0
+                                  and bipartite._lemma13_fires(bp, e.report.witness_g))
+    assert (fired, witness_fired_at_zero) == (1103, 51)
 
 
 def test_relabeling_tables_refuse_r_above_8():
-    """r = 9 would need 9! tables of 512 entries; every caller is refused first."""
-    with pytest.raises(ValueError, match="r <= 8, got r = 9"):
-        canonical_traces(9, (1, 2))
+    """r = 9 would need 9! tables of 512 entries; the enumerator is refused first."""
     with pytest.raises(ValueError, match="r <= 8, got r = 9"):
         next(connected_bipartite_graphs(9, 10))
 
@@ -202,10 +208,8 @@ def test_census_generator_small_counts():
         seen = set()
         for assignment in product(range(1, 2**r), repeat=s):
             traces = tuple(sorted(assignment))
-            g = graph_from_traces(r, traces)
-            from locdom.graphs import is_connected
-            if is_connected(g):
-                seen.add(canonical_traces(r, traces))
+            if is_connected(graph_from_traces(r, traces)):
+                seen.add(canonical_multiset(r, traces))
         ours = list(connected_bipartite_graphs(r, s))
         assert len(ours) == len(seen)
         assert {t for t, _ in ours} == seen
@@ -267,12 +271,19 @@ def test_graph_from_traces_rejects_masks_outside_u():
 
 
 def test_census_entry_checks_pass_on_known_graphs():
-    t = canonical_traces(3, (7, 6, 5, 3, 4, 1))
+    t = (1, 2, 3, 5, 6, 7)  # the canonical form of (7, 6, 5, 3, 4, 1)
     e = check_census_graph(3, 6, t, graph_from_traces(3, t))
-    assert e.ok() and e.report.relation == 1
-    t2 = canonical_traces(3, (7, 7, 7, 7))
+    assert e.ok() and e.report.relation == 1 and e.failed_checks() == []
+    t2 = (7, 7, 7, 7)
     e2 = check_census_graph(3, 4, t2, graph_from_traces(3, t2))
     assert e2.ok() and e2.report.relation <= 0
+    # failed checks are named in CENSUS_CHECKS order, whatever fails
+    assert CENSUS_CHECKS == ("equivalence", "twin_form", "cor16", "window", "lemma13")
+    for name in CENSUS_CHECKS:
+        bad = dataclasses.replace(e, **{f"{name}_ok": False})
+        assert not bad.ok() and bad.failed_checks() == [name]
+    bad = dataclasses.replace(e2, lemma13_ok=False, equivalence_ok=False)
+    assert not bad.ok() and bad.failed_checks() == ["equivalence", "lemma13"]
 
 
 def test_run_census_n8_clean():

@@ -161,14 +161,17 @@ def test_census_byte_identical_reruns(tmp_path, capsys):
 def test_census_rows_match_the_json_encoder(capsys):
     """The fixed-layout row writer gives json.dumps(row, indent=2) at the
     entries' depth, and the streamed report re-encodes to itself."""
-    def encoded(key, rep, ok):
-        row = {"key": key, **_classify_json(rep), "ok": ok}
+    def encoded(key, rep, failed):
+        row = {"key": key, **_classify_json(rep), "ok": not failed}
+        if failed:
+            row["failed_checks"] = failed
         return json.dumps(row, indent=2).replace("\n", "\n    ")
 
     relations = set()
     for e in run_census(10):
         key = to_graph6(e.graph)
-        assert _census_row_json(key, e.report, e.ok()) == encoded(key, e.report, e.ok())
+        assert _census_row_json(key, e.report, e.failed_checks()) == encoded(
+            key, e.report, e.failed_checks())
         relations.add(e.report.relation)
     # 0 must print as 0, not as false
     assert relations == {-1, 0, 1}
@@ -178,8 +181,9 @@ def test_census_rows_match_the_json_encoder(capsys):
     empty_witness = ClassificationReport(3, 4, 0, 1, 1, conds, False, VertexSet(),
                                          VertexSet.of([3, 5]))
     # graph6 bytes run from 63 to 126, and JSON escapes 92, the backslash
-    for key, rep, ok in (("G\\?", partial, False), ("~\\", empty_witness, True)):
-        assert _census_row_json(key, rep, ok) == encoded(key, rep, ok)
+    for key, rep, failed in (("G\\?", partial, ["equivalence", "lemma13"]),
+                             ("~\\", empty_witness, []), ("E?~o", empty_witness, ["window"])):
+        assert _census_row_json(key, rep, failed) == encoded(key, rep, failed)
     code, out, _ = run(capsys, "census", "--max-n", "8")
     assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
     # the empty census, as the whole-report encoder wrote it
@@ -192,6 +196,23 @@ def test_census_rows_match_the_json_encoder(capsys):
                     "counterexamples": []},
         "timing": None,
     }, indent=2) + "\n"
+
+
+def test_census_rows_name_their_failed_checks(capsys, monkeypatch):
+    """A failing check turns its rows into counterexamples that name it, and
+    the run exits with 1; the report is still what the JSON encoder writes."""
+    monkeypatch.setattr(bipartite, "feasibility_window", lambda r, s: False)
+    code, out, _ = run(capsys, "census", "--max-n", "9", "--jobs", "1")
+    assert code == 1
+    rep = json.loads(out)
+    failing = [row for row in rep["entries"] if not row["ok"]]
+    assert len(failing) == 2 and all(row["relation"] == 1 for row in failing)
+    assert [row["failed_checks"] for row in failing] == [["window"], ["window"]]
+    assert rep["summary"]["counterexamples"] == [row["key"] for row in failing]
+    assert rep["summary"]["by_relation"]["1"] == 2
+    assert all("failed_checks" not in row for row in rep["entries"] if row["ok"])
+    assert list(failing[0])[-2:] == ["ok", "failed_checks"]
+    assert out == json.dumps(rep, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

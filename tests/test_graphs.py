@@ -15,10 +15,9 @@ from locdom.graphs import (
     delete_vertex,
     induced_subgraph,
     is_connected,
-    twin_pairs,
 )
 
-from oracles import nx_graph
+from oracles import nx_graph, twin_pairs
 import networkx as nx
 
 
