@@ -102,25 +102,27 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     return ConditionTriple(c1, c2, c3, c3_twin)
 
 
-def _least_split(r: int, s: int, fits) -> int:
-    """The least a + b over 0 <= a <= r and 0 <= b <= s with ``fits(a, b)``.
+def _least_split(r: int, s: int, ta: int, tb: int, fits) -> int:
+    """The least a + b over ta <= a <= r and tb <= b <= s with ``fits(a, b)``.
 
     ``fits`` must stay true as a or b grows, so the least b that fits does
     not grow with a, and one pointer moving down from s serves every a."""
     best = r + s
     b = s
-    for a in range(r + 1):
+    for a in range(ta, r + 1):
         if fits(a, b):
-            while b and fits(a, b - 1):
+            while b > tb and fits(a, b - 1):
                 b -= 1
             best = min(best, a + b)
     return best
 
 
-@lru_cache(maxsize=64)
-def _side_floors(r: int, s: int) -> tuple[int, int]:
+@lru_cache(maxsize=1024)
+def _side_floors(r: int, s: int, ta: int, tb: int) -> tuple[int, int]:
     """Lower bounds on lambda for a bipartite graph with sides of sizes r and
-    s, and for its complement, from a count of the traces each side can carry.
+    s, and for its complement, from a count of the traces each side can
+    carry, when ta rows of U and tb rows of W repeat an earlier row of their
+    side.
 
     Let S be an LD-set with a members in U and b in W.  In G the sides are
     stable, so W - S carries distinct nonempty subsets of S & U, and U - S
@@ -129,7 +131,14 @@ def _side_floors(r: int, s: int) -> tuple[int, int]:
     from the rest of W - S only inside S & U, where it must see something
     when b = 0: W - S has room for 2^a - [b = 0] traces, and likewise U - S
     for 2^b - [a = 0].  The two families share one trace, S itself, so the
-    outside vertices together fit in the sum of the two rooms less one.  Each
+    outside vertices together fit in the sum of the two rooms less one.
+
+    Twins add a count of their own.  Two vertices of one side with equal
+    rows have equal traces in every set that holds neither, in G and in the
+    complement alike, where they are closed twins.  So S holds all but one
+    vertex of each class of equal rows.  A class of c vertices puts c - 1 in
+    S, and the classes of U together put their excess over one each, the ta
+    rows that repeat an earlier one: a >= ta, and likewise b >= tb.  Each
     floor is the least a + b these counts allow."""
     def stable(a: int, b: int) -> bool:
         return s - b < 1 << a and r - a < 1 << b
@@ -139,7 +148,14 @@ def _side_floors(r: int, s: int) -> tuple[int, int]:
         u_room = (1 << b) - (a == 0)
         return s - b <= w_room and r - a <= u_room and r - a + s - b < w_room + u_room
 
-    return _least_split(r, s, stable), _least_split(r, s, clique)
+    return _least_split(r, s, ta, tb, stable), _least_split(r, s, ta, tb, clique)
+
+
+def _repeats(g: Graph, side: VertexSet) -> int:
+    """How many rows of ``side`` repeat an earlier one: the side's vertex
+    count less its number of distinct rows."""
+    rows = [g.adj[v] for v in side]
+    return len(rows) - len(set(rows))
 
 
 def classify(g: Graph) -> ClassificationReport:
@@ -157,9 +173,10 @@ def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
     conds = condition_triple(g, bp)
     predicted = 3 <= bp.r < bp.s and conds.all_hold()
     sols = []
-    # the sides bound both searches from below (see _side_floors); sizes under
-    # a proven floor have no LD-set, so skipping them changes no result
-    floor, clique_floor = _side_floors(bp.r, bp.s)
+    # the sides and their twins bound both searches from below (see
+    # _side_floors); sizes under a proven floor have no LD-set, so skipping
+    # them changes no result
+    floor, clique_floor = _side_floors(bp.r, bp.s, _repeats(g, bp.U), _repeats(g, bp.W))
     for h in (g, complement(g)):
         if g.n <= ORACLE_CAP:
             rep = lambda_bruteforce(h, floor=floor)
@@ -397,13 +414,23 @@ def _canonical_tuples(rel: _Relabelings, prefix: list[int], verdicts: _Verdicts,
 # 17%.  Smaller tasks balance the workers, and the pool buffers fewer
 # finished entries while the oldest task still runs.
 TASK_PREFIX_LENGTH = 3
+# From this order on a pair's tasks take one mask more.  With three, the
+# largest (6,7) task holds 76,901 multisets and the largest (5,8) one
+# 41,506; with four, 10,874 and 10,633, and a worker and the parent each
+# hold a few such tasks' entries at a time.
+LONG_PREFIX_ORDER = 13
+
+
+def _prefix_length(r: int, s: int) -> int:
+    """The number of masks in the prefixes of the (r, s) census tasks."""
+    return min(TASK_PREFIX_LENGTH + (r + s >= LONG_PREFIX_ORDER), s)
 
 
 def _prefixes(r: int, s: int) -> Iterator[tuple[int, ...]]:
     """The canonical prefixes of the (r, s) trace multisets that root the
     census tasks, in increasing order."""
     rel = _relabelings(r)
-    return _canonical_tuples(rel, [], _root_verdicts(rel, ()), min(TASK_PREFIX_LENGTH, s))
+    return _canonical_tuples(rel, [], _root_verdicts(rel, ()), _prefix_length(r, s))
 
 
 def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
@@ -517,13 +544,13 @@ def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
 
     Returns an iterator over the entries; the tasks enumerate the graphs, so
     no list of graphs or entries is built.  Each (r, s) is split into one task
-    per canonical prefix of ``TASK_PREFIX_LENGTH`` masks (see
-    :func:`connected_bipartite_graphs`), and one task function enumerates and
-    checks a prefix's subtree.  The tasks run through ``map`` for one job and
-    through a process pool for more, with at most ``2 * jobs`` in flight;
-    both collect results in task order, and ``census_pairs`` lists (r, s) in
-    increasing order, so entries come in (r, s, trace multiset) order
-    whatever the job count.  A failing task, or a worker process that dies,
+    per canonical prefix of ``TASK_PREFIX_LENGTH`` masks, one more from order
+    ``LONG_PREFIX_ORDER`` on (see :func:`connected_bipartite_graphs`), and
+    one task function enumerates and checks a prefix's subtree.  The tasks
+    run through ``map`` for one job and through a process pool for more,
+    with at most ``2 * jobs`` in flight; both collect results in task order,
+    and ``census_pairs`` lists (r, s) in increasing order, so entries come
+    in (r, s, trace multiset) order whatever the job count.  A failing task, or a worker process that dies,
     raises :class:`CensusError`.
 
     The arguments are checked when this is called, before anything is

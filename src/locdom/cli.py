@@ -13,8 +13,10 @@ import contextlib
 import functools
 import json
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 import time
 from typing import Iterable
@@ -279,7 +281,10 @@ def cmd_census(args) -> int:
     graphs = 0
     counterexamples = []
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(_replace_on_success(args.out)) if args.out else sys.stdout
+        # a report bound for stdout is spooled and copied out once it is
+        # whole, so a failed run writes nothing there, as with --out
+        out = stack.enter_context(_replace_on_success(args.out) if args.out else
+                                  tempfile.TemporaryFile("w+", encoding="ascii"))
         csv = stack.enter_context(_replace_on_success(args.csv)) if args.csv else None
         head = json.dumps({
             "schema": SCHEMA,
@@ -313,6 +318,9 @@ def cmd_census(args) -> int:
             "timing": round(time.monotonic() - start, 3) if args.timing else None,
         }, indent=2)
         out.write(("\n  ]," if graphs else "],") + tail[1:] + "\n")
+        if not args.out:
+            out.seek(0)
+            shutil.copyfileobj(out, sys.stdout)
     return 1 if counterexamples else 0
 
 

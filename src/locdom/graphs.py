@@ -162,8 +162,11 @@ def _layers(adj: tuple[int, ...], start: int) -> list[int]:
     seen = frontier = 1 << start
     while True:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
+        rest = frontier
+        while rest:  # _bits inline, without a generator per layer
+            low = rest & -rest
+            nxt |= adj[low.bit_length() - 1]
+            rest ^= low
         frontier = nxt & ~seen
         if not frontier:
             return layers
@@ -185,7 +188,8 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """True iff g has at most one component; the empty graph is connected."""
+    return g.n == 0 or sum(_layers(g.adj, 0)) == (1 << g.n) - 1
 
 
 def bipartition(g: Graph) -> Bipartition | None:

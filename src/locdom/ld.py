@@ -3,16 +3,18 @@
 A set S is dominating when every vertex outside S has a neighbor in S, and
 distinguishing when the traces N(v) & S are pairwise distinct over v outside
 S.  An LD-set is both.  Every minimum here (:func:`lambda_bruteforce`,
-:func:`ld_codes`, :func:`lambda_bounded`) comes from one exact search.  Each
-connected component is solved on its own, and sizes are tried upward from a
-proven floor.  For each size a walk picks the next member in increasing
-order, so it meets LD-sets in lexicographic order.  A set is an LD-set
-exactly when it meets every *seal*: N[u] for every vertex u, and {u, v} plus
-the separators of u and v for every pair.  The seals are numbered, and each
-vertex has a bitset of the seal indices it meets, so the walk carries the
-seals met so far as one int.  Choosing a vertex is one OR.  A node stops once
-it has passed over the last member of a seal it still needs, and a last
-member completes an LD-set exactly when it meets every seal still needed.
+:func:`ld_codes`, :func:`lambda_bounded`) comes from one exact search.  A
+connected graph goes straight to the walk; a disconnected one is split, and
+each component is solved on its own.  Sizes are tried upward from a proven
+floor.  For each size a walk picks the next member in increasing order, so
+it meets LD-sets in lexicographic order.  A set is an LD-set exactly when it
+meets every *seal*: N[u] for every vertex u, and {u, v} plus the separators
+of u and v for every pair.  The seals are numbered, and each vertex has a
+bitset of the seal indices it meets, so the walk carries the seals met so
+far as one int.  Choosing a vertex is one OR.  A node stops once it has
+passed over the last member of a seal it still needs, and a last member
+completes an LD-set exactly when it meets every seal still needed.  Nodes
+with one or two slots left fill them by scans, not calls.
 
 Floors.  Let S be an LD-set of size k in a graph with n vertices, largest
 degree D and smallest degree d.  The n - k vertices outside S carry distinct
@@ -29,7 +31,8 @@ The last two are lambda itself on paths and cycles, ceil(2n/5), and on their
 complements, ceil((2n - 2)/5).  A caller may also pass a floor it has
 proved, and sizes below it are skipped.  :func:`locdom.bipartite._side_floors`
 is that caller: classify counts the traces each side of a bipartite G can
-carry, and starts the complement no lower than lambda(G) - 1.
+carry and the members its twins force, and starts the complement no lower
+than lambda(G) - 1.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, VertexSet, _bits, connected_components, induced_subgraph
+from .graphs import Graph, VertexSet, _bits, connected_components, induced_subgraph, is_connected
 
 ORACLE_CAP = 20
 
@@ -114,12 +117,10 @@ def lambda_bruteforce(g: Graph, enumerate_all: bool = False, *, floor: int = 0) 
             f"(on the command line: locdom lambda --bounded K)"
         )
     lam, codes = _solve(g, g.n, enumerate_all, floor)
+    if not enumerate_all:
+        return LDReport(lam, VertexSet(codes[0]))
     codes = sorted_codes(codes)
-    return LDReport(
-        lam,
-        VertexSet(codes[0]),
-        tuple(VertexSet(c) for c in codes) if enumerate_all else None,
-    )
+    return LDReport(lam, VertexSet(codes[0]), tuple(VertexSet(c) for c in codes))
 
 
 def _unmap(mask: int, old: list[int]) -> int:
@@ -169,12 +170,13 @@ def _solve(g: Graph, kmax: int, collect: bool, floor: int) -> tuple[int, list[in
     """(lambda, minimum LD-set masks) when lambda <= kmax, else None.
 
     The masks are every minimum LD-set when ``collect`` is set, else only the
-    lexicographically first.  Minimum LD-sets of a disconnected graph are the
-    unions of per-component ones, and the first union is the union of the
-    first ones, so components are solved one by one, sharing the budget left
-    above their :func:`_floor` bounds.  ``floor`` is a proven lower bound on
-    lambda of the whole graph; once the other components are solved, it
-    bounds the last one.
+    lexicographically first.  ``floor`` is a proven lower bound on lambda of
+    the whole graph.  A connected graph goes straight to the walk, from the
+    larger of ``floor`` and its :func:`_floor`.  Minimum LD-sets of a
+    disconnected graph are the unions of per-component ones, and the first
+    union is the union of the first ones, so components are solved one by
+    one, sharing the budget left above their :func:`_floor` bounds; once the
+    other components are solved, ``floor`` bounds the last one.
     """
     if not (0 <= floor <= g.n):
         raise ValueError(f"floor must be in [0, {g.n}], got {floor}")
@@ -182,8 +184,10 @@ def _solve(g: Graph, kmax: int, collect: bool, floor: int) -> tuple[int, list[in
     # components are split and any seal index is built
     if floor > kmax:
         return None
-    comps = connected_components(g)
-    parts = [(g, None)] if len(comps) <= 1 else [induced_subgraph(g, c) for c in comps]
+    if is_connected(g):
+        low = _floor(g.adj)
+        return None if low > kmax else _solve_connected(g, max(low, floor), kmax, collect)
+    parts = [induced_subgraph(g, c) for c in connected_components(g)]
     floors = [_floor(sub.adj) for sub, _ in parts]
     spare = kmax - sum(floors)
     if spare < 0:
@@ -198,8 +202,7 @@ def _solve(g: Graph, kmax: int, collect: bool, floor: int) -> tuple[int, list[in
         k, hits = got
         spare -= k - low
         lam += k
-        if old is not None:
-            hits = [_unmap(h, old) for h in hits]
+        hits = [_unmap(h, old) for h in hits]
         codes = [c | h for c in codes for h in hits]
     return lam, codes
 
@@ -215,8 +218,11 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
     adding ``hits_of[j]``; passing over j decides every seal with no member
     above j, so the node stops at the first j whose ``closed_at[j]`` holds a
     seal it still needs.  A node with one slot left makes no call: j completes
-    an LD-set exactly when ``hits_of[j]`` holds every seal still needed.  The
-    empty set is an LD-set only of the empty graph.
+    an LD-set exactly when ``hits_of[j]`` holds every seal still needed.  A
+    node with two slots left makes none either: for each j it runs that scan
+    over the members after j, with the same stops, so the walk visits the
+    same sets in the same order.  The empty set is an LD-set only of the
+    empty graph.
     """
     n = g.n
     hits_of, closed_at, every = _seal_index(g.adj)
@@ -231,6 +237,21 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
                     hits.append(chosen | 1 << j)
                     if not collect:
                         return True
+                if closed_at[j] & need:
+                    return False
+            return False
+        if left == 2:
+            for j in range(i, n - 1):
+                # the one-slot scan above, inline, for the members after j
+                rest = need & ~hits_of[j]
+                pair = chosen | 1 << j
+                for m in range(j + 1, n):
+                    if not rest & ~hits_of[m]:
+                        hits.append(pair | 1 << m)
+                        if not collect:
+                            return True
+                    if closed_at[m] & rest:
+                        break
                 if closed_at[j] & need:
                     return False
             return False
@@ -252,20 +273,23 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
 
 
 @lru_cache(maxsize=64)
-def _seal_layout(n: int) -> tuple[list[int], list[int], int, int, int]:
+def _seal_layout(n: int) -> tuple[list[int], list[int], int, list[int], int]:
     """Per-order constants of the seal index, with ``block[u] = 1 << (n + u*n)``
     the lowest bit of pair block u.  ``table[b]`` is the sum of
     ``block[8c + i]`` over the bits i of the byte b, divided by
-    ``block[8c] = 1 << shifts[c]``; ``rep`` is the sum of all blocks,
-    ``above`` the valid pair bits (v > u in block u) and ``every`` all seal
-    indices."""
+    ``block[8c] = 1 << shifts[c]``; ``rep`` is the sum of all blocks and
+    ``every`` all seal indices.  ``own[x]`` holds the seals that contain x
+    whatever its neighbours: N[x] (bit x), and the valid pair bits (v > u in
+    block u) among bit x of every block and all of x's own block."""
     table = [0]
     for i in range(8):
         table += [t | 1 << i * n for t in table]
     shifts = [n + c * n for c in range(0, n, 8)]
     full = (1 << n) - 1
+    rep = sum(1 << (n + u * n) for u in range(n))
     above = sum((full ^ ((2 << u) - 1)) << (n + u * n) for u in range(n))
-    return table, shifts, sum(1 << (n + u * n) for u in range(n)), above, full | above
+    own = [1 << x | above & (rep << x | full << (n + x * n)) for x in range(n)]
+    return table, shifts, rep, own, full | above
 
 
 def _seal_index(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
@@ -278,7 +302,7 @@ def _seal_index(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
     ``closed_at[i]`` holds the seals with no member above i.
     """
     n = len(adj)
-    table, shifts, rep, above, every = _seal_layout(n)
+    table, shifts, rep, own, every = _seal_layout(n)
     full = (1 << n) - 1
     hits_of = []
     for x, nbrs in enumerate(adj):
@@ -287,8 +311,8 @@ def _seal_index(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
         for shift in shifts:
             spread |= table[rest & 255] << shift
             rest >>= 8
-        pairs = (nbrs * rep) ^ (spread * full) | rep << x | full << (n + x * n)
-        hits_of.append(nbrs | 1 << x | above & pairs)
+        # both products lie above bit n, where every holds the valid pair bits
+        hits_of.append(nbrs | own[x] | every & ((nbrs * rep) ^ (spread * full)))
     closed_at = [0] * n
     later = 0
     for i in range(n - 1, -1, -1):

@@ -90,20 +90,68 @@ def _trace_families(a: int, b: int, cliques: bool) -> tuple[int, int, int]:
     return len(w_traces), len(u_traces), len(w_traces | u_traces)
 
 
-def trace_count_floors(r: int, s: int) -> tuple[int, int]:
+def trace_count_floors(r: int, s: int, ta: int = 0, tb: int = 0) -> tuple[int, int]:
     """Least LD-set sizes the side counts allow: with stable sides of r and s
-    vertices (a bipartite graph), and with clique sides (its complement).
+    vertices (a bipartite graph), and with clique sides (its complement),
+    when S must hold at least ta vertices of U and tb of W.
 
     The r - a vertices of U - S and the s - b of W - S need distinct traces
     from their families.  By Hall's theorem that is possible exactly when
     each family is large enough for its own side and the union for both.
     """
     return tuple(
-        min(a + b for a in range(r + 1) for b in range(s + 1)
+        min(a + b for a in range(ta, r + 1) for b in range(tb, s + 1)
             for w_room, u_room, room in [_trace_families(a, b, cliques)]
             if s - b <= w_room and r - a <= u_room and (r - a) + (s - b) <= room)
         for cliques in (False, True)
     )
+
+
+def twin_excess(g, side) -> int:
+    """The number of vertices of ``side`` that an LD-set must hold because of
+    twins: the class sizes less one, summed over the classes of vertices of
+    ``side`` with equal neighbourhoods, found by comparing every pair."""
+    members = list(side)
+    classes: list[list[int]] = []
+    for v in members:
+        for cls in classes:
+            if all(g.has_edge(v, x) == g.has_edge(cls[0], x) for x in range(g.n)):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return sum(len(cls) - 1 for cls in classes)
+
+
+def reference_walk(n: int, hits_of, closed_at, every: int, kmin: int, kmax: int,
+                   collect: bool):
+    """The exact search's walk over a seal index, one recursive call per
+    member down to an empty slot count: (k, LD-set masks) for the least k in
+    [kmin, kmax] with an LD-set, or None.  A node stops after member j when
+    ``closed_at[j]`` holds a seal it still needs; without ``collect`` the
+    first hit ends the walk.  It reads ``hits_of`` and ``closed_at`` in the
+    order a walk that visits the same sets with the same stops reads them."""
+    hits: list[int] = []
+
+    def walk(i: int, met: int, chosen: int, left: int) -> bool:
+        need = every & ~met
+        if left == 0:
+            if need:
+                return False
+            hits.append(chosen)
+            return not collect
+        for j in range(i, n - left + 1):
+            if walk(j + 1, met | hits_of[j], chosen | 1 << j, left - 1):
+                return True
+            if closed_at[j] & need:
+                return False
+        return False
+
+    for k in range(kmin, kmax + 1):
+        walk(0, 0, 0, k)
+        if hits:
+            return k, hits
+    return None
 
 
 def naive_codes(n: int, edges) -> list[tuple[int, ...]]:

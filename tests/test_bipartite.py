@@ -24,7 +24,7 @@ from locdom.ld import lambda_bruteforce, ld_codes
 
 from oracles import (bicolored_connected_counts, canonical_multiset, filtered_census_traces,
                      ilp_lambda, naive_lambda, orderly_canonical_tuples, trace_count_floors,
-                     twin_pairs)
+                     twin_excess, twin_pairs)
 
 
 def test_condition_triple_extremal_3_6():
@@ -219,7 +219,8 @@ def test_orderly_enumeration_matches_filter_oracle():
     """The pruned enumerator yields exactly the generate-then-filter multisets,
     in the same order, for every census side pair up to order 10, and so does
     the concatenation of its prefix subtrees, the census's task split.  With
-    s <= 3 the prefixes are whole multisets, each its own subtree."""
+    s <= 3 the prefixes are whole multisets, each its own subtree.  Pairs of
+    order 13 and more split on longer prefixes, checked on (3, 10)."""
     for r, s in census_pairs(10) + [(1, 2), (1, 3), (2, 3)]:
         ours = list(connected_bipartite_graphs(r, s))
         assert [t for t, _ in ours] == filtered_census_traces(r, s), (r, s)
@@ -229,6 +230,13 @@ def test_orderly_enumeration_matches_filter_oracle():
         assert prefixes and all(len(p) == length for p in prefixes)
         assert [item for p in prefixes
                 for item in connected_bipartite_graphs(r, s, p)] == ours, (r, s)
+    # from order 13 the tasks take four masks, and still cover the walk
+    assert [bipartite._prefix_length(r, 13 - r) for r in range(3, 7)] == [4] * 4
+    assert bipartite._prefix_length(6, 6) == bipartite._prefix_length(4, 8) == 3
+    prefixes = list(bipartite._prefixes(3, 10))
+    assert prefixes and all(len(p) == 4 for p in prefixes)
+    assert ([t for p in prefixes for t, _ in connected_bipartite_graphs(3, 10, p)]
+            == [t for t, _ in connected_bipartite_graphs(3, 10)])
     # unsorted, out of range, longer than s, and (2,), which a relabeling
     # of U sends to the lex-smaller (1,)
     for prefix in ((2, 1), (0, 1), (1, 8), (1, 1, 1, 1, 1), (2,)):
@@ -368,10 +376,14 @@ def _naive_lambdas(g):
 
 def test_side_floors_match_the_trace_count_oracle():
     """The side floors equal the oracle's, which lists every trace open to
-    each side as explicit sets; sides in both orders, and empty sides."""
+    each side as explicit sets; sides in both orders, empty sides, and every
+    count of members the twins force on each side."""
     for r in range(11):
         for s in range(11):
-            assert bipartite._side_floors(r, s) == trace_count_floors(r, s), (r, s)
+            for ta in range(r + 1):
+                for tb in range(s + 1):
+                    assert (bipartite._side_floors(r, s, ta, tb)
+                            == trace_count_floors(r, s, ta, tb)), (r, s, ta, tb)
 
 
 def test_side_floors_bound_lambda_on_census_graphs():
@@ -379,13 +391,67 @@ def test_side_floors_bound_lambda_on_census_graphs():
     complement; each floor is reached on some of them."""
     tight = [0, 0]
     for r, s in census_pairs(9):
-        stable, clique = bipartite._side_floors(r, s)
+        stable, clique = bipartite._side_floors(r, s, 0, 0)
         for _, g in connected_bipartite_graphs(r, s):
             lam, lam_bar = _naive_lambdas(g)
             assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
             tight[0] += stable == lam
             tight[1] += clique == lam_bar
     assert tight == [371, 82]
+
+
+def _twin_floors(g, r):
+    """The side floors of g, with sides U = 0..r-1 and W, and the twin
+    excess of each side counted by the oracle."""
+    u_side = VertexSet((1 << r) - 1)
+    ta, tb = twin_excess(g, u_side), twin_excess(g, g.vertices() - u_side)
+    return bipartite._side_floors(r, g.n - r, ta, tb), (ta, tb)
+
+
+def test_twin_floors_bound_lambda_on_census_graphs():
+    """Every census graph with n <= 9 against the naive scan of G and its
+    complement, with the members twins force on each side counted by pairwise
+    comparison.  The twins raise G's floor on many graphs, and it is reached
+    on more of them than the side counts alone reach."""
+    tight = [0, 0]
+    raised = 0
+    for r, s in census_pairs(9):
+        for _, g in connected_bipartite_graphs(r, s):
+            (stable, clique), _ = _twin_floors(g, r)
+            lam, lam_bar = _naive_lambdas(g)
+            assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
+            tight[0] += stable == lam
+            tight[1] += clique == lam_bar
+            raised += stable > bipartite._side_floors(r, s, 0, 0)[0]
+    assert (tight, raised) == ([568, 561], 250)
+
+
+def test_twin_floors_bound_lambda_with_planted_twins():
+    """300 seeded connected bipartite graphs, r, s <= 7, made by repeating
+    rows and columns of a random biadjacency matrix, so that both sides have
+    twins, against the naive scan of G and its complement; classify agrees
+    with the scan."""
+    rng = random.Random(1618)
+    checked = 0
+    while checked < 300:
+        r, s = rng.randint(2, 6), rng.randint(2, 7)
+        r0, s0 = rng.randint(1, r - 1), rng.randint(1, s - 1)
+        base = [[rng.random() < 0.5 for _ in range(s0)] for _ in range(r0)]
+        rows = base + [rng.choice(base) for _ in range(r - r0)]
+        cols = list(range(s0)) + [rng.randrange(s0) for _ in range(s - s0)]
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        g = build_graph(r + s, [(u, r + w) for u in range(r) for w in range(s)
+                                if rows[u][cols[w]]])
+        if not is_connected(g):
+            continue
+        (stable, clique), (ta, tb) = _twin_floors(g, r)
+        assert ta >= r - r0 and tb >= s - s0
+        lam, lam_bar = _naive_lambdas(g)
+        assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
+        rep = classify(g)
+        assert (rep.lambda_g, rep.lambda_gbar) == (lam, lam_bar), (r, s, g.edges())
+        checked += 1
 
 
 def test_side_floors_bound_lambda_on_random_bipartite_graphs():
@@ -402,7 +468,7 @@ def test_side_floors_bound_lambda_on_random_bipartite_graphs():
         if not is_connected(g):
             continue
         # connected, so U = 0..r-1 and W are its only sides
-        stable, clique = bipartite._side_floors(r, s)
+        stable, clique = bipartite._side_floors(r, s, 0, 0)
         lam, lam_bar = _naive_lambdas(g)
         assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
         checked += 1
@@ -415,14 +481,14 @@ def test_side_floors_on_stars_and_complete_bipartite_graphs():
     graphs have disconnected complements, K_r plus K_s."""
     for n in range(2, 12):
         lam, lam_bar = _naive_lambdas(star(n))
-        stable, clique = bipartite._side_floors(1, n - 1)
+        stable, clique = bipartite._side_floors(1, n - 1, 0, 0)
         assert stable == lam == n - 1 and clique <= lam_bar
     for r in range(1, 6):
         for s in range(r, 11 - r):
             g = complete_bipartite(r, s)
             assert not is_connected(complement(g))
             lam, lam_bar = _naive_lambdas(g)
-            stable, clique = bipartite._side_floors(r, s)
+            stable, clique = bipartite._side_floors(r, s, 0, 0)
             assert stable <= lam and clique <= lam_bar, (r, s)
 
 
@@ -431,7 +497,7 @@ def test_classify_above_the_cap_with_side_floors():
     report is partial as before.  Four seeded random bipartite graphs with
     n = 21..26 get lambda and lambda-bar of the ILP oracle."""
     g = star(22)
-    assert bipartite._side_floors(1, 21)[0] == 21
+    assert bipartite._side_floors(1, 21, 0, 0)[0] == 21
     assert classify(g) == ClassificationReport(1, 21, None, None, None,
                                                condition_triple(g, bipartition(g)),
                                                False, None, None, partial=True)

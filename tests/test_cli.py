@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -235,6 +236,28 @@ def test_census_task_failure_is_a_usage_error_and_writes_no_file(tmp_path, capsy
     assert out_file.read_text() == "an earlier report\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_to_stdout_writes_nothing_when_a_task_fails(capsys, monkeypatch, jobs):
+    """A report bound for stdout is all or nothing: when the fifth graph's
+    check raises, after four rows are done, the run exits 2 with a message
+    and stdout stays empty, with no traceback."""
+    check = bipartite.check_census_graph
+    seen = []
+
+    def fail_fifth(*args):
+        seen.append(args)
+        if len(seen) == 5:
+            raise RuntimeError("injected failure")
+        return check(*args)
+
+    monkeypatch.setattr(bipartite, "check_census_graph", fail_fifth)
+    code, out, err = run(capsys, "census", "--max-n", "8", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.startswith("locdom: error: census task (r, s) = (3, 4), prefix [")
+    assert err.endswith("failed: RuntimeError: injected failure\n")
+    assert "Traceback" not in err
+
+
 _KILL_WORKERS = """
 import os, signal, sys
 from locdom import bipartite, cli
@@ -452,3 +475,50 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     code, _, err = run(capsys, "lambda", "/nonexistent/file")
     assert code == 2 and "error" in err
+
+
+# sha256 digests of reports that are part of the behaviour contract: the
+# census through orders 10 and 12 (the JSON report and the CSV), and each
+# verify suite at its default parameters.  They were taken before the exact
+# solve gained its connected-graph path, its inline two-slot level and the
+# twin floors, none of which may change a byte.
+CENSUS_DIGESTS = {
+    ("10", "1"): ("1da257172fa13294f24c7e55b259875759c3ada67d67bc12e57947e9418e0648",
+                  "337a4a96d63f592b314e93b55f6234ffeef8d2709b7435f5e67aae0eb69511e6"),
+    ("12", "2"): ("0a63b9a8d5d1a7dd61321fcaf06ed9f93110e45d29d9474d21c58c7effc33865",
+                  "54e5cc1aaa938707f59b8e2cf5c49c7377145120314a8a89360d5b1eac6e490d"),
+}
+VERIFY_DIGESTS = {
+    "thm3": "725a9b44491a3f55a7e2e4b56b639d70ef60c59923efd36af8c50df068e57139",
+    "table1": "3a2b08cfb98a7cbe62f21e4a1be2c180c5667b861648892f472032da6255b538",
+    "parity": "ec084511a20a71f514414e473f2c3d306bac2d1258c78cfb3bb3b56d1a499e20",
+    "cactus": "9c67bbeb03932bfbfd4550af683505ca243ad6338c71b283c8c97d6ab8230d6a",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _census_digests(capsys, tmp_path, max_n, jobs):
+    out, csv = tmp_path / "census.json", tmp_path / "census.csv"
+    code, _, _ = run(capsys, "census", "--max-n", max_n, "--jobs", jobs,
+                     "--out", str(out), "--csv", str(csv))
+    assert code == 0
+    return _sha256(out.read_bytes()), _sha256(csv.read_bytes())
+
+
+def test_reports_match_their_pinned_digests(tmp_path, capsys):
+    """The order-10 census report and CSV, and the four verify reports at
+    their defaults, byte for byte."""
+    assert _census_digests(capsys, tmp_path, "10", "1") == CENSUS_DIGESTS["10", "1"]
+    for suite, digest in VERIFY_DIGESTS.items():
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0 and _sha256(out.encode("ascii")) == digest, suite
+
+
+@pytest.mark.slow
+def test_order_12_census_matches_its_pinned_digests(tmp_path, capsys):
+    """Opt-in (pytest -m slow): the order-12 census on two workers, report
+    and CSV, byte for byte."""
+    assert _census_digests(capsys, tmp_path, "12", "2") == CENSUS_DIGESTS["12", "2"]

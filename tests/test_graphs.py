@@ -201,6 +201,24 @@ def test_components_match_networkx_random():
         assert ours == theirs
 
 
+def test_is_connected_matches_the_component_count():
+    """One breadth-first walk from vertex 0 against the full component split:
+    no vertices, one vertex, isolated vertices, path(1500) and its
+    complement, and 300 seeded random graphs."""
+    rng = random.Random(37)
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(2, []),
+              build_graph(4, [(1, 2), (2, 3)]), build_graph(4, [(0, 1), (1, 2)]),
+              path(1500), complement(path(1500))]
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        graphs.append(build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                      if rng.random() < rng.uniform(0.02, 0.5)]))
+    verdicts = [is_connected(g) for g in graphs]
+    assert verdicts == [len(connected_components(g)) <= 1 for g in graphs]
+    assert verdicts[:7] == [True, True, False, False, False, True, True]
+    assert 50 < sum(verdicts) < 250
+
+
 def test_induced_subgraph_keeps_order():
     g = cycle(5)
     sub, old = induced_subgraph(g, VertexSet.of((0, 1, 3)))

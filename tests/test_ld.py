@@ -20,7 +20,7 @@ from locdom.ld import (
 )
 from locdom.suites import connected_atlas_graphs, random_distinguishing_set
 
-from oracles import adj_sets, ilp_lambda, naive_codes, naive_is_ld, naive_lambda
+from oracles import adj_sets, ilp_lambda, naive_codes, naive_is_ld, naive_lambda, reference_walk
 
 
 def vs(*items):
@@ -250,6 +250,73 @@ def test_floors_past_kmax_answer_before_any_seal_index(monkeypatch):
     monkeypatch.setattr(ld, "_seal_index", refuse)
     assert lambda_bounded(path(1500), 1) == (False, None, None)
     assert classify(star(22)).partial
+
+
+class _ReadLog(list):
+    """A list that logs each item read through it, as (name, index)."""
+
+    def __init__(self, items, name, log):
+        super().__init__(items)
+        self.name, self.log = name, log
+
+    def __getitem__(self, i):
+        self.log.append((self.name, i))
+        return super().__getitem__(i)
+
+
+def _logged(index, log):
+    hits_of, closed_at, every = index
+    return _ReadLog(hits_of, "hits_of", log), _ReadLog(closed_at, "closed_at", log), every
+
+
+def test_walk_reads_the_seal_index_as_the_one_call_per_member_walk(monkeypatch):
+    """The walk, whose nodes with one or two slots left make no calls, reads
+    the seal index in the same order as the reference walk that makes a call
+    per member, and finds the same LD-sets.  Every start size from 0 to
+    lambda, a refuting search below lambda, collecting or not, on seeded
+    random graphs with n <= 11.  A stop left out shows in the read log, and
+    a collecting walk that ends at its first hit in the hit list."""
+    seal_index = ld._seal_index
+    rng = random.Random(43)
+    log = []
+    monkeypatch.setattr(ld, "_seal_index", lambda adj: _logged(seal_index(adj), log))
+    lams = []
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.9))
+        lam = lambda_bruteforce(g).lam
+        lams.append(lam)
+        searches = [(kmin, lam) for kmin in range(lam + 1)] + [(0, lam - 1)]
+        for kmin, kmax in searches:
+            for collect in (False, True):
+                log.clear()
+                got = ld._solve_connected(g, kmin, kmax, collect)
+                ref_log = []
+                want = reference_walk(g.n, *_logged(seal_index(g.adj), ref_log),
+                                      kmin, kmax, collect)
+                assert got == want, (g.adj, kmin, kmax, collect)
+                assert log == ref_log, (g.adj, kmin, kmax, collect)
+    assert {2, 3, 4, 5} <= set(lams)
+
+
+def test_two_and_three_member_minimums_match_the_naive_oracle():
+    """ld_codes and lambda_bounded on seeded random graphs with lambda = 2 or
+    3, where collecting walks run the inline two-slot level, against the
+    naive scan: every minimum LD-set, and found, size and witness at
+    kmax = lambda - 1, lambda, lambda + 1."""
+    rng = random.Random(47)
+    seen = {2: 0, 3: 0}
+    while min(seen.values()) < 40:
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.uniform(0.15, 0.85))
+        edges = list(g.edges())
+        lam, wit = naive_lambda(n, edges)
+        if lam not in seen:
+            continue
+        seen[lam] += 1
+        assert [c.members() for c in ld_codes(g)] == naive_codes(n, edges), edges
+        assert lambda_bounded(g, lam - 1) == (False, None, None)
+        for kmax in range(lam, min(n, lam + 1) + 1):
+            assert lambda_bounded(g, kmax) == (True, lam, VertexSet.of(wit)), edges
 
 
 def test_lambda_bounded_matches_ilp_above_the_cap():
