@@ -474,52 +474,41 @@ def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
             yield traces, graph_from_traces(r, traces)
 
 
-# The census checks in report order; each is a CensusEntry field NAME_ok.
+# The census checks, in the order a report names the ones that fail.
 CENSUS_CHECKS = ("equivalence", "twin_form", "cor16", "window", "lemma13")
 
 
 @dataclass(frozen=True)
 class CensusEntry:
-    r: int
-    s: int
+    """A census graph, its report, and the ``CENSUS_CHECKS`` it fails, in order."""
     traces: tuple[int, ...]
     graph: Graph
     report: ClassificationReport
-    equivalence_ok: bool
-    twin_form_ok: bool
-    cor16_ok: bool
-    window_ok: bool
-    lemma13_ok: bool
-
-    def ok(self) -> bool:
-        return (self.equivalence_ok and self.twin_form_ok and self.cor16_ok
-                and self.window_ok and self.lemma13_ok)
-
-    def failed_checks(self) -> list[str]:
-        """The names of the checks that fail, in ``CENSUS_CHECKS`` order."""
-        return [name for name in CENSUS_CHECKS if not getattr(self, f"{name}_ok")]
+    failed: tuple[str, ...]
 
 
 def census_pairs(max_n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(3, max_n) for s in range(r + 1, max_n - r + 1)]
 
 
-def check_census_graph(r: int, s: int, traces: tuple[int, ...], g: Graph) -> CensusEntry:
+def check_census_graph(traces: tuple[int, ...], g: Graph) -> CensusEntry:
     """Verify the characterization and its corollaries on census graph ``g``,
-    the graph of ``traces``."""
+    the graph of ``traces``: one W vertex per trace, after U = 0..r-1."""
+    s = len(traces)
+    r = g.n - s
     # a connected graph has one pair of sides, and U = 0..r-1 is the smaller
     u_side = VertexSet((1 << r) - 1)
     bp = Bipartition(u_side, g.vertices() - u_side, r, s)
     report = _classify(g, bp)
     conds = report.conditions
     plus_one = report.relation == 1
-    equivalence_ok = conds.all_hold() == plus_one
-    twin_form_ok = conds.c3 == conds.c3_twin_form
-    cor16_ok = corollary16_audit(g) if plus_one else True
-    window_ok = feasibility_window(r, s) if plus_one else True
-    lemma13_ok = report.relation <= 0 or not _lemma13_fires(bp, report.witness_g)
-    return CensusEntry(r, s, traces, g, report, equivalence_ok, twin_form_ok,
-                       cor16_ok, window_ok, lemma13_ok)
+    holds = (plus_one == report.predicted_plus_one,
+             conds.c3 == conds.c3_twin_form,
+             not plus_one or corollary16_audit(g),
+             not plus_one or feasibility_window(r, s),
+             report.relation <= 0 or not _lemma13_fires(bp, report.witness_g))
+    return CensusEntry(traces, g, report,
+                       tuple(name for name, ok in zip(CENSUS_CHECKS, holds) if not ok))
 
 
 class CensusError(RuntimeError):
@@ -530,7 +519,7 @@ def _census_task(task: tuple[int, int, tuple[int, ...]]) -> list[CensusEntry]:
     """Check every graph of one (r, s, prefix) subtree, in enumeration order."""
     r, s, prefix = task
     try:
-        return [check_census_graph(r, s, traces, g)
+        return [check_census_graph(traces, g)
                 for traces, g in connected_bipartite_graphs(r, s, prefix)]
     except Exception as exc:
         # re-raised in the parent for any job count, and pickled intact from a
@@ -550,8 +539,8 @@ def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     run through ``map`` for one job and through a process pool for more,
     with at most ``2 * jobs`` in flight; both collect results in task order,
     and ``census_pairs`` lists (r, s) in increasing order, so entries come
-    in (r, s, trace multiset) order whatever the job count.  A failing task, or a worker process that dies,
-    raises :class:`CensusError`.
+    in (r, s, trace multiset) order whatever the job count.  A failing task,
+    or a worker process that dies, raises :class:`CensusError`.
 
     The arguments are checked when this is called, before anything is
     enumerated.  Orders above ``ORACLE_CAP`` are refused: classify gives

@@ -180,7 +180,7 @@ def _json_witness(v: VertexSet | None) -> str:
     return _json_list(map(str, v))
 
 
-def _census_row_json(key: str, rep: ClassificationReport, failed: list[str]) -> str:
+def _census_row_json(key: str, rep: ClassificationReport, failed: tuple[str, ...]) -> str:
     """One census entry laid out as ``json.dump(indent=2)`` lays it out in the
     report's entries list: the row ``{"key": key, **_classify_json(rep), "ok": ok}``
     with ``ok = not failed``, and ``"failed_checks": failed`` after it when
@@ -238,18 +238,24 @@ def _sigterm_exits():
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
+def _written_in_place(target: str) -> bool:
+    """Whether a resolved report path exists and is not a regular file, such
+    as /dev/null, which is written in place: renaming over it would replace
+    the device."""
+    return os.path.exists(target) and not os.path.isfile(target)
+
+
 @contextlib.contextmanager
 def _replace_on_success(path: str):
     """A text file that takes the place of ``path`` only if the block succeeds.
 
     The file is written as a sibling temporary file and renamed over the
     target at the end, so a failed run never leaves a truncated report, and
-    one ended by SIGTERM leaves no temporary file either.  A
-    path that exists and is not a regular file, such as /dev/null, is written
-    in place: renaming over it would replace the device.
+    one ended by SIGTERM leaves no temporary file either.  A path that is
+    not a regular file is written in place (see :func:`_written_in_place`).
     """
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    if _written_in_place(target):
         with open(path, "w", encoding="ascii") as fh:
             yield fh
         return
@@ -276,6 +282,12 @@ def _replace_on_success(path: str):
 
 def cmd_census(args) -> int:
     start = time.monotonic()
+    if args.out and args.csv:
+        # both writers would open the same temporary file
+        target = os.path.realpath(args.out)
+        if target == os.path.realpath(args.csv) and not _written_in_place(target):
+            raise ValueError(f"--out and --csv name the same file {args.out!r}; "
+                             "give the report and the CSV different paths")
     entries = run_census(args.max_n, jobs=args.jobs)
     by_relation: dict[str, int] = {"-1": 0, "0": 0, "1": 0}
     graphs = 0
@@ -296,19 +308,19 @@ def cmd_census(args) -> int:
             csv.write(",".join(_CENSUS_CSV_COLUMNS) + "\n")
         sep = "\n    "
         for e in entries:
-            rep, ok = e.report, e.ok()
+            rep = e.report
             key = to_graph6(e.graph)
             graphs += 1
             by_relation[str(rep.relation)] += 1
-            if not ok:
+            if e.failed:
                 counterexamples.append(key)
-            out.write(sep + _census_row_json(key, rep, [] if ok else e.failed_checks()))
+            out.write(sep + _census_row_json(key, rep, e.failed))
             sep = ",\n    "
             if csv is not None:
                 c = rep.conditions
                 csv.write(f"{key},{rep.r},{rep.s},{rep.lambda_g},{rep.lambda_gbar},"
                           f"{rep.relation},{c.c1},{c.c2},{c.c3},{c.c3_twin_form},"
-                          f"{rep.predicted_plus_one},{ok}\n")
+                          f"{rep.predicted_plus_one},{not e.failed}\n")
         tail = json.dumps({
             "summary": {
                 "graphs": graphs,

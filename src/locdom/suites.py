@@ -106,7 +106,11 @@ def table1_suite() -> tuple[int, list[str]]:
 
 
 def thm3_suite(max_n: int = ATLAS_MAX_N) -> tuple[int, list[str]]:
-    """|lam(G) - lam(complement)| <= 1 over every connected graph with n <= max_n."""
+    """|lam(G) - lam(complement)| <= 1 over every connected graph with n <= max_n.
+
+    Raises ValueError when max_n < 1, which would check no graph."""
+    if max_n < 1:
+        raise ValueError(f"the thm3 suite needs max_n >= 1, got {max_n}")
     checked = 0
     bad = []
     for g in connected_atlas_graphs(max_n):

@@ -11,7 +11,8 @@ from math import ceil
 import pytest
 
 from locdom.associated import build_associated, label_subgraph
-from locdom.bipartite import bipartition, census_pairs, feasibility_window, run_census
+from locdom.bipartite import (CENSUS_CHECKS, bipartition, census_pairs, feasibility_window,
+                              run_census)
 from locdom.families import (
     banner,
     bistar,
@@ -72,22 +73,15 @@ def test_c3_characterization_census():
     assert len(entries) == 2937
     counts = {}
     for e in entries:
-        counts[e.r, e.s] = counts.get((e.r, e.s), 0) + 1
+        counts[e.report.r, e.report.s] = counts.get((e.report.r, e.report.s), 0) + 1
     assert counts == {(3, 4): 34, (3, 5): 76, (3, 6): 155, (3, 7): 290,
                       (4, 5): 558, (4, 6): 1824}
-    bad_equiv = [e for e in entries if not e.equivalence_ok]
-    bad_twin = [e for e in entries if not e.twin_form_ok]
-    bad_cor16 = [e for e in entries if not e.cor16_ok]
-    bad_window = [e for e in entries if not e.window_ok]
-    bad_lemma13 = [e for e in entries if not e.lemma13_ok]
-    assert bad_equiv == [], bad_equiv[:3]
-    assert bad_twin == [], bad_twin[:3]
-    assert bad_cor16 == [], bad_cor16[:3]
-    assert bad_window == [], bad_window[:3]
-    assert bad_lemma13 == [], bad_lemma13[:3]
+    for name in CENSUS_CHECKS:
+        bad = [e for e in entries if name in e.failed]
+        assert bad == [], (name, bad[:3])
     plus = [e for e in entries if e.report.relation == 1]
     assert plus, "the census must contain gain witnesses"
-    assert all(feasibility_window(e.r, e.s) for e in plus)
+    assert all(feasibility_window(e.report.r, e.report.s) for e in plus)
     report(f"3 census of {len(entries)} bipartite graphs n<=10", start)
 
 
@@ -97,7 +91,7 @@ def test_census_order_11():
     start = time.monotonic()
     entries = list(run_census(11))
     assert len(entries) == 28509
-    assert [e for e in entries if not e.ok()] == []
+    assert [e for e in entries if e.failed] == []
     assert sum(1 for e in entries if e.report.relation == 1) == 5
     report(f"census of {len(entries)} bipartite graphs n<=11", start)
 
@@ -109,12 +103,13 @@ def test_census_order_12():
     start = time.monotonic()
     counts, relations, plus, bad = Counter(), Counter(), Counter(), []
     for e in run_census(12, jobs=2):
-        counts[e.r, e.s] += 1
-        relations[e.report.relation] += 1
-        if e.report.relation == 1:
-            plus[e.r, e.s] += 1
-        if not e.ok():
-            bad.append((e.r, e.s, e.traces))
+        rep = e.report
+        counts[rep.r, rep.s] += 1
+        relations[rep.relation] += 1
+        if rep.relation == 1:
+            plus[rep.r, rep.s] += 1
+        if e.failed:
+            bad.append((rep.r, rep.s, e.traces, e.failed))
     oracle = bicolored_connected_counts(12)
     assert counts == {(r, s): oracle[r, s] for r, s in census_pairs(12)}
     assert counts.total() == 142637

@@ -180,7 +180,7 @@ def test_lemma13_audit_holds_over_census_codes():
     and (3, 5) pairs, that fires the Lemma 13 trigger belongs to a graph whose
     relation is <= 0, and the census's own check passes on every entry."""
     entries = list(run_census(8))
-    assert {(e.r, e.s) for e in entries} == {(3, 4), (3, 5)}
+    assert {(e.report.r, e.report.s) for e in entries} == {(3, 4), (3, 5)}
     fired = witness_fired_at_zero = 0
     for e in entries:
         bp = bipartition(e.graph)
@@ -188,7 +188,7 @@ def test_lemma13_audit_holds_over_census_codes():
             if bipartite._lemma13_fires(bp, code):
                 fired += 1
                 assert e.report.relation <= 0, (e.traces, code)
-        assert e.lemma13_ok
+        assert "lemma13" not in e.failed
         witness_fired_at_zero += (e.report.relation == 0
                                   and bipartite._lemma13_fires(bp, e.report.witness_g))
     assert (fired, witness_fired_at_zero) == (1103, 51)
@@ -278,25 +278,49 @@ def test_graph_from_traces_rejects_masks_outside_u():
     assert g.n == 4 and g.adj == (0b1000, 0b1000, 0, 0b11)
 
 
-def test_census_entry_checks_pass_on_known_graphs():
+def test_census_entry_checks_pass_on_known_graphs(monkeypatch):
     t = (1, 2, 3, 5, 6, 7)  # the canonical form of (7, 6, 5, 3, 4, 1)
-    e = check_census_graph(3, 6, t, graph_from_traces(3, t))
-    assert e.ok() and e.report.relation == 1 and e.failed_checks() == []
+    g = graph_from_traces(3, t)
+    e = check_census_graph(t, g)
+    assert e.failed == () and e.report.relation == 1
+    assert (e.report.r, e.report.s, e.report.lambda_g) == (3, 6, 3)
     t2 = (7, 7, 7, 7)
-    e2 = check_census_graph(3, 4, t2, graph_from_traces(3, t2))
-    assert e2.ok() and e2.report.relation <= 0
-    # failed checks are named in CENSUS_CHECKS order, whatever fails
+    e2 = check_census_graph(t2, graph_from_traces(3, t2))
+    assert e2.failed == () and e2.report.relation <= 0
+    # failed checks are named once each, in CENSUS_CHECKS order, whatever fails
     assert CENSUS_CHECKS == ("equivalence", "twin_form", "cor16", "window", "lemma13")
-    for name in CENSUS_CHECKS:
-        bad = dataclasses.replace(e, **{f"{name}_ok": False})
-        assert not bad.ok() and bad.failed_checks() == [name]
-    bad = dataclasses.replace(e2, lemma13_ok=False, equivalence_ok=False)
-    assert not bad.ok() and bad.failed_checks() == ["equivalence", "lemma13"]
+    monkeypatch.setattr(bipartite, "corollary16_audit", lambda g: False)
+    monkeypatch.setattr(bipartite, "feasibility_window", lambda r, s: False)
+    monkeypatch.setattr(bipartite, "_lemma13_fires", lambda bp, code: True)
+    assert check_census_graph(t, g).failed == ("cor16", "window", "lemma13")
+    assert check_census_graph(t2, graph_from_traces(3, t2)).failed == ()
+    # a report whose prediction and twin form disagree with it fails the rest
+    honest = bipartite._classify
+
+    def skewed(g, bp):
+        rep = honest(g, bp)
+        conds = dataclasses.replace(rep.conditions, c3_twin_form=not rep.conditions.c3)
+        return dataclasses.replace(rep, conditions=conds, predicted_plus_one=False)
+
+    monkeypatch.setattr(bipartite, "_classify", skewed)
+    assert check_census_graph(t, g).failed == CENSUS_CHECKS
+
+
+def test_census_check_reads_the_sides_off_its_graph():
+    """The census check takes r = n - len(traces) and U = 0..r-1 from the
+    graph, the sides bipartition finds, so its report is classify's on every
+    census graph of order <= 9."""
+    checked = 0
+    for r, s in census_pairs(9):
+        for traces, g in connected_bipartite_graphs(r, s):
+            assert check_census_graph(traces, g).report == classify(g), traces
+            checked += 1
+    assert checked == 823
 
 
 def test_run_census_n8_clean():
     entries = list(run_census(8))
-    assert entries and all(e.ok() for e in entries)
+    assert entries and all(e.failed == () for e in entries)
     # equivalence holds with real exceptions impossible below the window
     assert all(e.report.relation != 1 for e in entries)
 
@@ -307,7 +331,7 @@ def test_run_census_parallel_matches_serial():
     assert serial == parallel
     # run_census does not sort: the order is the enumeration's own
     for entries in (serial, parallel):
-        keys = [(e.r, e.s, e.traces) for e in entries]
+        keys = [(e.report.r, e.report.s, e.traces) for e in entries]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from locdom import bipartite
+from locdom import bipartite, cli
 from locdom.bipartite import ClassificationReport, ConditionTriple, run_census
 from locdom.cli import _census_row_json, _classify_json, main
 from locdom.families import path
@@ -171,8 +171,7 @@ def test_census_rows_match_the_json_encoder(capsys):
     relations = set()
     for e in run_census(10):
         key = to_graph6(e.graph)
-        assert _census_row_json(key, e.report, e.failed_checks()) == encoded(
-            key, e.report, e.failed_checks())
+        assert _census_row_json(key, e.report, e.failed) == encoded(key, e.report, e.failed)
         relations.add(e.report.relation)
     # 0 must print as 0, not as false
     assert relations == {-1, 0, 1}
@@ -182,8 +181,8 @@ def test_census_rows_match_the_json_encoder(capsys):
     empty_witness = ClassificationReport(3, 4, 0, 1, 1, conds, False, VertexSet(),
                                          VertexSet.of([3, 5]))
     # graph6 bytes run from 63 to 126, and JSON escapes 92, the backslash
-    for key, rep, failed in (("G\\?", partial, ["equivalence", "lemma13"]),
-                             ("~\\", empty_witness, []), ("E?~o", empty_witness, ["window"])):
+    for key, rep, failed in (("G\\?", partial, ("equivalence", "lemma13")),
+                             ("~\\", empty_witness, ()), ("E?~o", empty_witness, ("window",))):
         assert _census_row_json(key, rep, failed) == encoded(key, rep, failed)
     code, out, _ = run(capsys, "census", "--max-n", "8")
     assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -221,7 +220,7 @@ def test_census_task_failure_is_a_usage_error_and_writes_no_file(tmp_path, capsy
                                                                 monkeypatch, jobs):
     """Any exception in a census task ends in exit code 2 with a message, and
     the report files are left as they were: forked workers inherit the patch."""
-    def fail(*args):
+    def fail(traces, g):
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(bipartite, "check_census_graph", fail)
@@ -244,11 +243,11 @@ def test_census_to_stdout_writes_nothing_when_a_task_fails(capsys, monkeypatch, 
     check = bipartite.check_census_graph
     seen = []
 
-    def fail_fifth(*args):
-        seen.append(args)
+    def fail_fifth(traces, g):
+        seen.append(traces)
         if len(seen) == 5:
             raise RuntimeError("injected failure")
-        return check(*args)
+        return check(traces, g)
 
     monkeypatch.setattr(bipartite, "check_census_graph", fail_fifth)
     code, out, err = run(capsys, "census", "--max-n", "8", "--jobs", jobs)
@@ -265,10 +264,10 @@ from locdom import bipartite, cli
 parent = os.getpid()
 check = bipartite.check_census_graph
 
-def check_or_die(*args):
+def check_or_die(traces, g):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
-    return check(*args)
+    return check(traces, g)
 
 bipartite.check_census_graph = check_or_die
 sys.exit(cli.main(sys.argv[1:]))
@@ -350,8 +349,9 @@ def test_census_stopped_by_sigterm_leaves_no_files(tmp_path):
 
 
 def test_census_output_paths(tmp_path, capsys):
-    """A report sent to a device is written to it, not renamed over it, and an
-    unwritable path is named as given, not as its temporary sibling."""
+    """A report sent to a device is written to it, not renamed over it, so
+    --out and --csv may both name it, and an unwritable path is named as
+    given, not as its temporary sibling."""
     code, out, _ = run(capsys, "census", "--max-n", "7", "--out", os.devnull,
                        "--csv", os.devnull)
     assert code == 0 and out == ""
@@ -360,6 +360,31 @@ def test_census_output_paths(tmp_path, capsys):
     code, out, err = run(capsys, "census", "--max-n", "7", "--out", missing)
     assert code == 2 and out == ""
     assert err == f"locdom: error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+def test_census_refuses_one_file_for_report_and_csv(tmp_path, capsys, monkeypatch):
+    """--out and --csv naming one regular file, directly or through a link,
+    are refused before the census starts, and the file is left as it was.
+    A device can take both (test_census_output_paths)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census started")
+
+    target = tmp_path / "census.out"
+    link = tmp_path / "link.out"
+    link.symlink_to(target)
+    monkeypatch.setattr(cli, "run_census", refuse)
+    for exists in (False, True):
+        if exists:
+            target.write_text("an earlier report\n")
+        for other in (target, link):
+            code, out, err = run(capsys, "census", "--max-n", "7", "--out", str(target),
+                                 "--csv", str(other))
+            assert code == 2 and out == ""
+            assert err == (f"locdom: error: --out and --csv name the same file "
+                           f"{str(target)!r}; give the report and the CSV different paths\n")
+        assert sorted(os.listdir(tmp_path)) == (["census.out", "link.out"] if exists
+                                                else ["link.out"])
+    assert target.read_text() == "an earlier report\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -451,11 +476,24 @@ def test_verify_thm3_runs_without_networkx(capsys, monkeypatch):
     ("cactus", ["--max-n", "3"], "the cactus suite needs max_n >= 6, got 3"),
     ("parity", ["--max-n", "3"], "the parity suite needs max_n >= 4, got 3"),
     ("parity", ["--trials", "-3"], "trials must be >= 0, got -3"),
+    ("thm3", ["--max-n", "0"], "the thm3 suite needs max_n >= 1, got 0"),
 ])
 def test_verify_random_suite_out_of_range_is_a_usage_error(capsys, suite, args, message):
     code, out, err = run(capsys, "verify", "--suite", suite, *args)
     assert code == 2 and out == ""
     assert err == f"locdom: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["census", "--max-n", "7"], ["verify", "--suite", "table1"]])
+def test_timing_adds_wall_time_and_changes_nothing_else(capsys, argv):
+    """--timing fills the report's timing field with the seconds taken; every
+    other byte is what the run without the flag writes."""
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(plain)["timing"] is None
+    code, timed, _ = run(capsys, *argv, "--timing")
+    timing = json.loads(timed)["timing"]
+    assert code == 0 and type(timing) in (int, float) and timing >= 0
+    assert timed == plain.replace('"timing": null', f'"timing": {json.dumps(timing)}')
 
 
 def test_verify_thm3_on_a_damaged_atlas_is_a_usage_error(tmp_path, capsys, monkeypatch):
