@@ -221,24 +221,10 @@ def _lemma13_fires(bp: Bipartition, code: VertexSet) -> bool:
 
 # --- census of connected bipartite graphs by trace multisets ---------------
 
-# r! relabeling tables of 2^r entries each: r = 8 takes seconds and about
-# 100 MB, r = 9 would take several GB.  The census walk adds as much again
-# for the tables' preimages (see _relabelings).
+# r! relabeling tables of 2^r entries each, built once per r in a process:
+# r = 7 takes about 0.1 s and 21 MB, r = 8 about 1.5 s and 108 MB (peak
+# ru_maxrss of a fresh process), and r = 9 would take several GB.
 PERM_TABLE_MAX_R = 8
-
-
-@lru_cache(maxsize=8)
-def _perm_tables(r: int) -> list[list[int]]:
-    if r > PERM_TABLE_MAX_R:
-        raise ValueError(f"relabeling tables stop at r <= {PERM_TABLE_MAX_R}, got r = {r}")
-    tables = []
-    for perm in permutations(range(r)):
-        # masks with top bit i are those below it with bit perm[i] added
-        table = [0]
-        for i in range(r):
-            table += [t | 1 << perm[i] for t in table]
-        tables.append(table)
-    return tables
 
 
 def graph_from_traces(r: int, traces: Sequence[int]) -> Graph:
@@ -275,19 +261,29 @@ class _Relabelings:
     """The non-identity relabeling tables of U, by index k, with what the
     orderly walk looks up in them: ``drops[k]``, the mask with bit x set when
     table k sends x below x, and ``preimage[k][v]``, the x that table k sends
-    to v."""
+    to v, which is the table of the inverse relabeling."""
 
     def __init__(self, r: int):
+        if r > PERM_TABLE_MAX_R:
+            raise ValueError(f"relabeling tables stop at r <= {PERM_TABLE_MAX_R}, got r = {r}")
         self.full = (1 << r) - 1
-        self.tables = _perm_tables(r)[1:]  # the first table is the identity
+        perms = list(permutations(range(r)))
+        index = {perm: k for k, perm in enumerate(perms)}
+        tables, inverse, q = [], [], [0] * r
+        for perm in perms:
+            # masks with top bit i are those below it with bit perm[i] added
+            table = [0]
+            for i in range(r):
+                table += [t | 1 << perm[i] for t in table]
+            tables.append(table)
+            for i, p in enumerate(perm):
+                q[p] = i
+            inverse.append(index[tuple(q)])
+        # the first table is the identity, the inverse of no other table
+        self.tables = tables[1:]
+        self.preimage = [tables[k] for k in inverse[1:]]
         self.drops = [sum(1 << x for x, v in enumerate(table) if v < x)
                       for table in self.tables]
-        self.preimage = []
-        for table in self.tables:
-            pre = [0] * len(table)
-            for x, v in enumerate(table):
-                pre[v] = x
-            self.preimage.append(pre)
 
 
 @lru_cache(maxsize=8)
@@ -543,12 +539,15 @@ def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     or a worker process that dies, raises :class:`CensusError`.
 
     The arguments are checked when this is called, before anything is
-    enumerated.  Orders above ``ORACLE_CAP`` are refused: classify gives
-    exact values only up to that order.  So are orders that reach a small
-    side above ``PERM_TABLE_MAX_R``, whose relabeling tables do not fit.
+    enumerated.  Four cases raise ValueError: ``jobs`` below 1; orders
+    below 1; orders above ``ORACLE_CAP``, since classify gives exact values
+    only up to that order; and orders that reach a small side above
+    ``PERM_TABLE_MAX_R``, whose relabeling tables do not fit.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if max_n < 1:
+        raise ValueError(f"census order must be >= 1, got {max_n}")
     if max_n > ORACLE_CAP:
         raise ValueError(f"census order {max_n} exceeds the exact solver's cap "
                          f"of {ORACLE_CAP} vertices")

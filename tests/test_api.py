@@ -23,3 +23,22 @@ def test_public_names_are_pinned():
         "path", "run_census", "star", "table1_expected", "to_edge_list", "to_graph6",
         "undominated_vertex",
     ]
+
+
+def test_import_adds_only_locdom_and_standard_library_modules():
+    """Importing the package and its command line, in a fresh interpreter,
+    loads no third-party module: the package declares no dependencies."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    script = ("import json, sys; before = set(sys.modules); import locdom, locdom.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(locdom.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    added = json.loads(proc.stdout)
+    assert "locdom.cli" in added
+    assert [m for m in added if m != "locdom" and not m.startswith("locdom.")
+            and m.partition(".")[0] not in sys.stdlib_module_names] == []

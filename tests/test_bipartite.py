@@ -22,9 +22,9 @@ from locdom.graphs import (Bipartition, VertexSet, bipartition, build_graph, com
                            is_connected)
 from locdom.ld import lambda_bruteforce, ld_codes
 
-from oracles import (bicolored_connected_counts, canonical_multiset, filtered_census_traces,
-                     ilp_lambda, naive_lambda, orderly_canonical_tuples, trace_count_floors,
-                     twin_excess, twin_pairs)
+from oracles import (_relabeling_maps, bicolored_connected_counts, canonical_multiset,
+                     filtered_census_traces, ilp_lambda, naive_lambda, orderly_canonical_tuples,
+                     trace_count_floors, twin_excess, twin_pairs)
 
 
 def test_condition_triple_extremal_3_6():
@@ -253,6 +253,25 @@ def test_incremental_walk_matches_the_full_scan_walk():
         rel = bipartite._relabelings(r)
         walk = bipartite._canonical_tuples(rel, [], bipartite._root_verdicts(rel, ()), length)
         assert list(walk) == orderly_canonical_tuples(r, length), (r, length)
+
+
+def test_relabelings_hold_each_table_once():
+    """Each preimage list is the table of the inverse relabeling, the same
+    object and no copy; ``drops`` marks the masks a table sends lower; and
+    the tables are the non-identity relabelings of the oracle, each once."""
+    from math import factorial
+    for r in range(7):
+        rel = bipartite._relabelings(r)
+        masks = range(1 << r)
+        ids = {id(table) for table in rel.tables}
+        assert len(rel.tables) == len(rel.preimage) == len(rel.drops) == factorial(r) - 1
+        for table, pre, drops in zip(rel.tables, rel.preimage, rel.drops):
+            assert id(pre) in ids
+            assert all(pre[table[x]] == x for x in masks)
+            assert all(drops >> x & 1 == (table[x] < x) for x in masks)
+        identity = tuple(range(1, 1 << r))
+        oracle = {tuple(img[m] for m in identity) for img in _relabeling_maps(r)} - {identity}
+        assert {tuple(table[1:]) for table in rel.tables} == oracle, r
 
 
 def test_census_counts_match_the_burnside_oracle():

@@ -394,6 +394,16 @@ def test_census_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert err == f"locdom: error: jobs must be >= 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_census_order_below_one_is_a_usage_error(capsys, max_n):
+    """An order below 1 is refused; order 1, like 2 to 6, is the empty census."""
+    code, out, err = run(capsys, "census", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err == f"locdom: error: census order must be >= 1, got {max_n}\n"
+    code, out, err = run(capsys, "census", "--max-n", "1")
+    assert code == 0 and err == "" and json.loads(out)["entries"] == []
+
+
 def test_census_over_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "census", "--max-n", "21")
     assert code == 2 and out == ""
@@ -405,9 +415,10 @@ def test_census_over_cap_is_a_usage_error(capsys):
 def test_census_beyond_the_relabeling_tables_is_a_usage_error(capsys, monkeypatch, max_n):
     """Orders that reach r = 9 are refused before any relabeling table is built."""
     def refuse(r):
-        raise AssertionError(f"_perm_tables({r}) was called")
+        raise AssertionError(f"_Relabelings({r}) was called")
 
-    monkeypatch.setattr(bipartite, "_perm_tables", refuse)
+    bipartite._relabelings.cache_clear()
+    monkeypatch.setattr(bipartite, "_Relabelings", refuse)
     code, out, err = run(capsys, "census", "--max-n", max_n)
     assert code == 2 and out == ""
     assert err.startswith("locdom: error:") and "r = 9" in err and "r <= 8" in err
