@@ -11,6 +11,7 @@ when U fails to distinguish W, i.e. when W has twins.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -532,10 +533,11 @@ def run_census(max_n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     per canonical prefix of ``TASK_PREFIX_LENGTH`` masks, one more from order
     ``LONG_PREFIX_ORDER`` on (see :func:`connected_bipartite_graphs`), and
     one task function enumerates and checks a prefix's subtree.  The tasks
-    run through ``map`` for one job and through a process pool for more,
-    with at most ``2 * jobs`` in flight; both collect results in task order,
-    and ``census_pairs`` lists (r, s) in increasing order, so entries come
-    in (r, s, trace multiset) order whatever the job count.  A failing task,
+    run through ``map`` for one job and through a process pool for more, of
+    ``min(jobs, os.cpu_count())`` workers with at most twice that many tasks
+    in flight; both collect results in task order, and ``census_pairs``
+    lists (r, s) in increasing order, so entries come in (r, s, trace
+    multiset) order whatever the job count.  A failing task,
     or a worker process that dies, raises :class:`CensusError`.
 
     The arguments are checked when this is called, before anything is
@@ -567,13 +569,15 @@ def _stream_census(max_n: int, jobs: int) -> Iterator[CensusEntry]:
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    # at most 2 * jobs tasks are in flight, taken in task order, so the parent
-    # holds the entries of that many finished tasks at most; a worker that
-    # dies breaks the pool, where multiprocessing.Pool would hang
-    with ProcessPoolExecutor(jobs) as pool:
+    # the pool forks all its workers at the first submit, so it gets one a core
+    # at most; 2 * workers tasks at most are in flight, taken in task order, so
+    # the parent holds the entries of that many finished tasks at most; a
+    # worker that dies breaks the pool, where multiprocessing.Pool would hang
+    workers = min(jobs, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) as pool:
         pending = deque()
         try:
-            for task in islice(tasks, 2 * jobs):
+            for task in islice(tasks, 2 * workers):
                 pending.append(pool.submit(_census_task, task))
             while pending:
                 batch = pending.popleft().result()

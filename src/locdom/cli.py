@@ -28,7 +28,7 @@ from .bipartite import CensusError, ClassificationReport, classify, run_census
 from .families import KINDS, FamilySpec, generate
 from .graphio import export_dot, parse_documents, to_edge_list, to_graph6
 from .graphs import Graph, VertexSet
-from .ld import LDReport, lambda_bounded, lambda_bruteforce
+from .ld import lambda_bounded, lambda_bruteforce, ld_codes
 
 SCHEMA = "locdom-report/1"
 
@@ -58,13 +58,6 @@ def _emit(obj, single: bool) -> None:
 
 def _vs(v: VertexSet | None):
     return None if v is None else list(v)
-
-
-def _ld_json(rep: LDReport) -> dict:
-    out = {"lambda": rep.lam, "witness": _vs(rep.witness)}
-    if rep.all_codes is not None:
-        out["all_codes"] = [_vs(c) for c in rep.all_codes]
-    return out
 
 
 def _classify_json(rep: ClassificationReport) -> dict:
@@ -98,8 +91,13 @@ def cmd_lambda(args) -> int:
             found, size, wit = lambda_bounded(g, args.bounded)
             reports.append({"bounded": args.bounded, "found": found,
                             "size": size, "witness": _vs(wit)})
+        elif args.all_codes:
+            codes = ld_codes(g)
+            reports.append({"lambda": len(codes[0]), "witness": _vs(codes[0]),
+                            "all_codes": [_vs(c) for c in codes]})
         else:
-            reports.append(_ld_json(lambda_bruteforce(g, enumerate_all=args.all_codes)))
+            rep = lambda_bruteforce(g)
+            reports.append({"lambda": rep.lam, "witness": _vs(rep.witness)})
     _emit(reports, single=True)
     return 0
 

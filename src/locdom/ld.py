@@ -12,9 +12,9 @@ meets every *seal*: N[u] for every vertex u, and {u, v} plus the separators
 of u and v for every pair.  The seals are numbered, and each vertex has a
 bitset of the seal indices it meets, so the walk carries the seals met so
 far as one int.  Choosing a vertex is one OR.  A node stops once it has
-passed over the last member of a seal it still needs, and a last member
-completes an LD-set exactly when it meets every seal still needed.  Nodes
-with one or two slots left fill them by scans, not calls.
+passed over the last member of a seal it still needs, and a node with no
+slot left is an LD-set exactly when no seal is still needed.  A node with
+two slots left fills them by a scan, not calls.
 
 Floors.  Let S be an LD-set of size k in a graph with n vertices, largest
 degree D and smallest degree d.  The n - k vertices outside S carry distinct
@@ -50,14 +50,12 @@ ORACLE_CAP = 20
 class LDReport:
     """Result of an exact minimum LD-set computation.
 
-    ``lam`` is the minimum LD-set size, ``witness`` the lexicographically
-    first minimum LD-set, and ``all_codes`` every minimum LD-set when
-    enumeration was requested.
+    ``lam`` is the minimum LD-set size and ``witness`` the lexicographically
+    first minimum LD-set.
     """
 
     lam: int
     witness: VertexSet
-    all_codes: tuple[VertexSet, ...] | None = None
 
 
 class BoundedResult(NamedTuple):
@@ -102,13 +100,12 @@ def undominated_vertex(g: Graph, s: VertexSet) -> int | None:
     return next((v for v in g.vertices() - s if g.adj[v] & s.bits == 0), None)
 
 
-def lambda_bruteforce(g: Graph, enumerate_all: bool = False, *, floor: int = 0) -> LDReport:
+def lambda_bruteforce(g: Graph, *, floor: int = 0) -> LDReport:
     """Exact minimum LD-set size, with the lexicographically first minimum LD-set.
 
-    With ``enumerate_all`` every minimum LD-set is collected, in
-    lexicographic order.  ``floor`` is a lower bound on lambda that the caller
-    has proved; the search skips the sizes below it, so a wrong floor gives a
-    wrong answer.  Refuses graphs with more than ``ORACLE_CAP`` vertices;
+    ``floor`` is a lower bound on lambda that the caller has proved; the
+    search skips the sizes below it, so a wrong floor gives a wrong answer.
+    Refuses graphs with more than ``ORACLE_CAP`` vertices;
     :func:`lambda_bounded` answers for those.
     """
     if g.n > ORACLE_CAP:
@@ -116,25 +113,24 @@ def lambda_bruteforce(g: Graph, enumerate_all: bool = False, *, floor: int = 0) 
             f"graph order {g.n} exceeds the oracle cap {ORACLE_CAP}; use lambda_bounded instead "
             f"(on the command line: locdom lambda --bounded K)"
         )
-    lam, codes = _solve(g, g.n, enumerate_all, floor)
-    if not enumerate_all:
-        return LDReport(lam, VertexSet(codes[0]))
-    codes = sorted_codes(codes)
-    return LDReport(lam, VertexSet(codes[0]), tuple(VertexSet(c) for c in codes))
+    lam, codes = _solve(g, g.n, False, floor)
+    return LDReport(lam, VertexSet(codes[0]))
 
 
 def _unmap(mask: int, old: list[int]) -> int:
     return sum(1 << old[i] for i in _bits(mask))
 
 
-def sorted_codes(masks: list[int]) -> list[int]:
-    """Sort set masks by their ascending member tuples (lexicographic)."""
-    return sorted(masks, key=lambda m: tuple(_bits(m)))
-
-
 def ld_codes(g: Graph) -> list[VertexSet]:
-    """All LD-sets of minimum size, lexicographically sorted."""
-    return list(lambda_bruteforce(g, enumerate_all=True).all_codes)
+    """All LD-sets of minimum size, lexicographically sorted.
+
+    Refuses graphs with more than ``ORACLE_CAP`` vertices.
+    """
+    if g.n > ORACLE_CAP:
+        raise ValueError(f"graph order {g.n} exceeds the oracle cap {ORACLE_CAP}; "
+                         f"minimum LD-sets are enumerated only up to it")
+    _, codes = _solve(g, g.n, True, 0)
+    return [VertexSet(c) for c in sorted(codes, key=lambda m: tuple(_bits(m)))]
 
 
 def lambda_bounded(g: Graph, kmax: int, *, floor: int = 0) -> BoundedResult:
@@ -142,12 +138,13 @@ def lambda_bounded(g: Graph, kmax: int, *, floor: int = 0) -> BoundedResult:
 
     When one does, size and witness are those :func:`lambda_bruteforce`
     reports: the same search, without an order cap, stopped above kmax.
-    ``floor`` is a proven lower bound on lambda, as for
+    The vertex set is an LD-set, so a kmax above the order asks what kmax =
+    n asks.  ``floor`` is a proven lower bound on lambda, as for
     :func:`lambda_bruteforce`.
     """
-    if not (0 <= kmax <= g.n):
-        raise ValueError(f"kmax must be in [0, {g.n}], got {kmax}")
-    got = _solve(g, kmax, False, floor)
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    got = _solve(g, min(kmax, g.n), False, floor)
     if got is None:
         return BoundedResult(False, None, None)
     return BoundedResult(True, got[0], VertexSet(got[1][0]))
@@ -217,12 +214,12 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
     ``left``, the slots still open.  A node tries each next member j in turn,
     adding ``hits_of[j]``; passing over j decides every seal with no member
     above j, so the node stops at the first j whose ``closed_at[j]`` holds a
-    seal it still needs.  A node with one slot left makes no call: j completes
-    an LD-set exactly when ``hits_of[j]`` holds every seal still needed.  A
-    node with two slots left makes none either: for each j it runs that scan
-    over the members after j, with the same stops, so the walk visits the
-    same sets in the same order.  The empty set is an LD-set only of the
-    empty graph.
+    seal it still needs.  A node with no slot left checks the seals still
+    needed: its set is an LD-set exactly when none is.  A node with two slots
+    left makes no call: for each j it scans the members m after j, with the
+    same stops, and m completes an LD-set exactly when ``hits_of[m]`` holds
+    every seal still needed, so the walk visits the same sets in the same
+    order as a walk with a call per member.
     """
     n = g.n
     hits_of, closed_at, every = _seal_index(g.adj)
@@ -231,18 +228,14 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
     def walk(i: int, met: int, chosen: int, left: int) -> bool:
         """Search below a branch; True once the first hit ends the search."""
         need = every & ~met
-        if left == 1:
-            for j in range(i, n):
-                if not need & ~hits_of[j]:
-                    hits.append(chosen | 1 << j)
-                    if not collect:
-                        return True
-                if closed_at[j] & need:
-                    return False
-            return False
+        if not left:
+            if need:
+                return False
+            hits.append(chosen)
+            return not collect
         if left == 2:
             for j in range(i, n - 1):
-                # the one-slot scan above, inline, for the members after j
+                # the zero-slot check, inline, for each last member after j
                 rest = need & ~hits_of[j]
                 pair = chosen | 1 << j
                 for m in range(j + 1, n):
@@ -263,10 +256,7 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
         return False
 
     for k in range(kmin, kmax + 1):
-        if k:
-            walk(0, 0, 0, k)
-        elif every == 0:
-            hits.append(0)
+        walk(0, 0, 0, k)
         if hits:
             return k, hits
     return None

@@ -13,6 +13,9 @@ from locdom.graphio import to_edge_list, to_graph6
 from locdom.graphs import VertexSet
 
 
+ATLAS = os.path.join(os.path.dirname(cli.__file__), "data", "connected7.g6")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -394,6 +397,48 @@ def test_census_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert err == f"locdom: error: jobs must be >= 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_census_pool_is_sized_by_the_cores_not_by_jobs(capsys, monkeypatch, cpus, workers):
+    """--jobs 10**6 at order 8 gets a pool of min(jobs, cores) workers and at
+    most twice that many tasks in flight; the report is the one-job report,
+    echoing --jobs.  The pool is an inline stand-in, so no process starts."""
+    from concurrent.futures import Future
+
+    seen = {"workers": [], "outstanding": 0, "peak": 0}
+
+    class Task(Future):
+        def result(self, timeout=None):
+            seen["outstanding"] -= 1
+            return super().result(timeout)
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            task = Task()
+            task.set_result(fn(*args))
+            seen["outstanding"] += 1
+            seen["peak"] = max(seen["peak"], seen["outstanding"])
+            return task
+
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, err = run(capsys, "census", "--max-n", "8", "--jobs", str(10**6))
+    assert code == 0 and err == ""
+    assert seen["workers"] == [workers] and seen["peak"] == 2 * workers
+    assert seen["outstanding"] == 0
+    code, one, _ = run(capsys, "census", "--max-n", "8")
+    assert code == 0
+    assert f'"{10**6}"' in out and out.replace(f'"{10**6}"', '"1"', 1) == one
+
+
 @pytest.mark.parametrize("max_n", ["0", "-3"])
 def test_census_order_below_one_is_a_usage_error(capsys, max_n):
     """An order below 1 is refused; order 1, like 2 to 6, is the empty census."""
@@ -459,6 +504,42 @@ def test_lambda_over_cap_names_the_bounded_option(tmp_path, capsys):
     assert err.startswith("locdom: error:") and "locdom lambda --bounded K" in err
     code, out, _ = run(capsys, "lambda", str(f), "--bounded", "9")
     assert code == 0 and json.loads(out)["size"] == 9
+
+
+def test_lambda_all_codes_over_cap_names_the_enumeration_cap(tmp_path, capsys):
+    """Over the cap, lambda points to --bounded K, which finds one witness;
+    --all-codes, which argparse refuses beside --bounded, says that minimum
+    LD-sets are enumerated only up to the cap."""
+    f = tmp_path / "p21.g6"
+    f.write_text(to_graph6(path(21)) + "\n")
+    code, out, err = run(capsys, "lambda", str(f))
+    assert code == 2 and out == ""
+    assert err == ("locdom: error: graph order 21 exceeds the oracle cap 20; use lambda_bounded "
+                   "instead (on the command line: locdom lambda --bounded K)\n")
+    code, out, err = run(capsys, "lambda", str(f), "--all-codes")
+    assert code == 2 and out == ""
+    assert err == ("locdom: error: graph order 21 exceeds the oracle cap 20; minimum LD-sets "
+                   "are enumerated only up to it\n")
+
+
+def test_lambda_bounded_above_a_graphs_order_answers_at_its_order(capsys):
+    """--bounded 3 over the atlas file, whose graphs of order 1 and 2 lie below
+    K, gives one report a graph, each agreeing with plain lambda; only a
+    negative K is refused."""
+    code, out, _ = run(capsys, "lambda", ATLAS, "--bounded", "3")
+    assert code == 0
+    bounded = json.loads(out)
+    code, out, _ = run(capsys, "lambda", ATLAS)
+    assert code == 0
+    exact = json.loads(out)
+    assert len(bounded) == len(exact) == 996
+    for b, e in zip(bounded, exact):
+        found = e["lambda"] <= 3
+        assert b == {"bounded": 3, "found": found, "size": e["lambda"] if found else None,
+                     "witness": e["witness"] if found else None}
+    code, out, err = run(capsys, "lambda", ATLAS, "--bounded", "-1")
+    assert code == 2 and out == ""
+    assert err == "locdom: error: kmax must be >= 0, got -1\n"
 
 
 def test_verify_command_parity(capsys):
@@ -544,6 +625,16 @@ VERIFY_DIGESTS = {
     "cactus": "9c67bbeb03932bfbfd4550af683505ca243ad6338c71b283c8c97d6ab8230d6a",
 }
 
+# the lambda layer's reports on the atlas file: plain, with --all-codes, and
+# with --bounded 3 over its 853 graphs of order 7 (graph6 lines starting
+# with "F"), taken before the walk lost its one-slot scan and ld_codes
+# became the one route to every minimum LD-set
+LAMBDA_DIGESTS = {
+    (): "efb4f5f4e1f76a04fc66156f02683a45d1a4efcbfc8ca53528bc962edafa84a5",
+    ("--all-codes",): "052d6b5c66e5efb31405e277f806b6120e5a6c09cc53b3f552f2d1dda2d097b6",
+    ("--bounded", "3"): "05ba58e3b07a84e176669806b886550bd10b44b386002aa6698029244f9611fc",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -564,6 +655,17 @@ def test_reports_match_their_pinned_digests(tmp_path, capsys):
     for suite, digest in VERIFY_DIGESTS.items():
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0 and _sha256(out.encode("ascii")) == digest, suite
+
+
+def test_lambda_reports_match_their_pinned_digests(tmp_path, capsys):
+    """The three lambda reports on the atlas file, byte for byte."""
+    order7 = tmp_path / "order7.g6"
+    with open(ATLAS, encoding="ascii") as fh:
+        order7.write_text("".join(line for line in fh if line.startswith("F")))
+    for flags, digest in LAMBDA_DIGESTS.items():
+        source = str(order7) if flags == ("--bounded", "3") else ATLAS
+        code, out, _ = run(capsys, "lambda", source, *flags)
+        assert code == 0 and _sha256(out.encode("ascii")) == digest, flags
 
 
 @pytest.mark.slow

@@ -97,6 +97,27 @@ def test_lambda_bruteforce_cap():
         lambda_bruteforce(g)
 
 
+def test_ld_codes_cap_names_the_enumeration():
+    g = build_graph(21, [(i, i + 1) for i in range(20)])
+    with pytest.raises(ValueError, match="minimum LD-sets are enumerated only up to it"):
+        ld_codes(g)
+
+
+def test_lambda_bounded_above_the_order_asks_what_the_order_asks():
+    """V is an LD-set, so kmax > n gives the answer at kmax = n; only kmax < 0
+    is refused."""
+    rng = random.Random(61)
+    graphs = [build_graph(n, []) for n in range(4)] + [path(2), star(3)]
+    graphs += [random_graph(rng, rng.randint(1, 7), rng.uniform(0.05, 0.9))
+               for _ in range(40)]
+    for g in graphs:
+        for extra in (1, 5):
+            assert lambda_bounded(g, g.n + extra) == lambda_bounded(g, g.n)
+        assert lambda_bounded(g, g.n).found
+    with pytest.raises(ValueError, match=r"^kmax must be >= 0, got -1$"):
+        lambda_bounded(path(4), -1)
+
+
 def test_lambda_bounded_examples():
     found, size, wit = lambda_bounded(path(7), 3)
     assert found and size == 3 and is_ld_set(path(7), wit)
@@ -139,9 +160,11 @@ def test_any_proven_floor_leaves_the_answer_unchanged():
     for _ in range(80):
         n = rng.randint(1, 9)
         g = random_graph(rng, n, rng.uniform(0.05, 0.4))
-        rep = lambda_bruteforce(g, enumerate_all=True)
+        rep = lambda_bruteforce(g)
+        codes = ld._solve(g, g.n, True, 0)
         for floor in range(rep.lam + 1):
-            assert lambda_bruteforce(g, enumerate_all=True, floor=floor) == rep
+            assert lambda_bruteforce(g, floor=floor) == rep
+            assert ld._solve(g, g.n, True, floor) == codes
             for kmax in range(floor, n + 1):
                 assert lambda_bounded(g, kmax, floor=floor) == lambda_bounded(g, kmax)
 
@@ -270,12 +293,13 @@ def _logged(index, log):
 
 
 def test_walk_reads_the_seal_index_as_the_one_call_per_member_walk(monkeypatch):
-    """The walk, whose nodes with one or two slots left make no calls, reads
-    the seal index in the same order as the reference walk that makes a call
-    per member, and finds the same LD-sets.  Every start size from 0 to
-    lambda, a refuting search below lambda, collecting or not, on seeded
-    random graphs with n <= 11.  A stop left out shows in the read log, and
-    a collecting walk that ends at its first hit in the hit list."""
+    """The walk, whose nodes with two slots left make no calls, reads the seal
+    index in the same order as the reference walk that makes a call per
+    member, and finds the same LD-sets; both check a node with no slot left
+    against the seals still needed.  Every start size from 0 to lambda, a
+    refuting search below lambda, collecting or not, on seeded random graphs
+    with n <= 11.  A stop left out shows in the read log, and a collecting
+    walk that ends at its first hit in the hit list."""
     seal_index = ld._seal_index
     rng = random.Random(43)
     log = []
