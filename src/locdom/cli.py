@@ -336,22 +336,27 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
+    reads = {"table1": (), "thm3": ("max_n",)}.get(args.suite, ("seed", "trials", "max_n"))
+    for name in ("seed", "trials", "max_n"):
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(f"the {args.suite} suite does not read --{name.replace('_', '-')}")
+    seed = suites.SEED if args.seed is None else args.seed
+    trials = suites.TRIALS if args.trials is None else args.trials
     max_n = args.max_n
     if args.suite == "table1":
         checked, bad = suites.table1_suite()
-        max_n = None
     elif args.suite == "thm3":
         max_n = suites.ATLAS_MAX_N if max_n is None else max_n
         checked, bad = suites.thm3_suite(max_n=max_n)
     else:
         max_n = suites.RANDOM_MAX_N if max_n is None else max_n
         run = suites.parity_suite if args.suite == "parity" else suites.cactus_suite
-        checked, bad = run(seed=args.seed, trials=args.trials, max_n=max_n)
+        checked, bad = run(seed=seed, trials=trials, max_n=max_n)
     report = {
         "schema": SCHEMA,
         "command": ["verify", "--suite", args.suite],
         "suite": args.suite,
-        "params": {"seed": args.seed, "trials": args.trials, "max_n": max_n},
+        "params": {"seed": seed, "trials": trials, "max_n": max_n},
         "checked": checked,
         "violations": bad,
         "timing": round(time.monotonic() - start, 3) if args.timing else None,
@@ -411,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a property suite; exit 1 on any violation")
     ver.add_argument("--suite", required=True, choices=["table1", "thm3", "cactus", "parity"])
-    ver.add_argument("--seed", type=int, default=suites.SEED)
-    ver.add_argument("--trials", type=int, default=suites.TRIALS)
+    ver.add_argument("--seed", type=int, default=None,
+                     help=f"parity/cactus only (default: {suites.SEED})")
+    ver.add_argument("--trials", type=int, default=None,
+                     help=f"parity/cactus only (default: {suites.TRIALS})")
     ver.add_argument("--max-n", type=int, default=None,
                      help=f"graph order ceiling (default: {suites.ATLAS_MAX_N} for thm3, "
                           f"{suites.RANDOM_MAX_N} for parity/cactus)")

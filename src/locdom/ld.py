@@ -10,8 +10,8 @@ floor.  For each size a walk picks the next member in increasing order, so
 it meets LD-sets in lexicographic order.  A set is an LD-set exactly when it
 meets every *seal*: N[u] for every vertex u, and {u, v} plus the separators
 of u and v for every pair.  The seals are numbered, and each vertex has a
-bitset of the seal indices it meets, so the walk carries the seals met so
-far as one int.  Choosing a vertex is one OR.  A node stops once it has
+bitset of the seal indices it misses, so the walk carries the seals still
+needed as one int.  Choosing a vertex is one AND.  A node stops once it has
 passed over the last member of a seal it still needs, and a node with no
 slot left is an LD-set exactly when no seal is still needed.  A node with
 two slots left fills them by a scan, not calls.
@@ -209,25 +209,24 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
     """The least size k in [kmin, kmax] with an LD-set, and its LD-set masks.
 
     For each k a walk picks the members in increasing order, so LD-sets are
-    met in lexicographic order.  The walk carries ``met``, the seal indices
-    (see :func:`_seal_index`) that the chosen vertices meet, as one int, and
+    met in lexicographic order.  The walk carries ``need``, the seal indices
+    (see :func:`_seal_index`) that no chosen vertex meets, as one int, and
     ``left``, the slots still open.  A node tries each next member j in turn,
-    adding ``hits_of[j]``; passing over j decides every seal with no member
-    above j, so the node stops at the first j whose ``closed_at[j]`` holds a
-    seal it still needs.  A node with no slot left checks the seals still
-    needed: its set is an LD-set exactly when none is.  A node with two slots
-    left makes no call: for each j it scans the members m after j, with the
-    same stops, and m completes an LD-set exactly when ``hits_of[m]`` holds
-    every seal still needed, so the walk visits the same sets in the same
-    order as a walk with a call per member.
+    keeping only the needed seals in ``miss_of[j]``; passing over j decides
+    every seal with no member above j, so the node stops at the first j
+    whose ``closed_at[j]`` holds a seal it still needs.  A node with no slot
+    left is an LD-set exactly when no seal is still needed.  A node with two
+    slots left makes no call: for each j it scans the members m after j, with
+    the same stops, and m completes an LD-set exactly when ``miss_of[m]``
+    holds none of the seals still needed, so the walk visits the same sets
+    in the same order as a walk with a call per member.
     """
     n = g.n
-    hits_of, closed_at, every = _seal_index(g.adj)
+    miss_of, closed_at, every = _seal_index(g.adj)
     hits: list[int] = []
 
-    def walk(i: int, met: int, chosen: int, left: int) -> bool:
+    def walk(i: int, need: int, chosen: int, left: int) -> bool:
         """Search below a branch; True once the first hit ends the search."""
-        need = every & ~met
         if not left:
             if need:
                 return False
@@ -236,10 +235,10 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
         if left == 2:
             for j in range(i, n - 1):
                 # the zero-slot check, inline, for each last member after j
-                rest = need & ~hits_of[j]
+                rest = need & miss_of[j]
                 pair = chosen | 1 << j
                 for m in range(j + 1, n):
-                    if not rest & ~hits_of[m]:
+                    if not rest & miss_of[m]:
                         hits.append(pair | 1 << m)
                         if not collect:
                             return True
@@ -249,14 +248,14 @@ def _solve_connected(g: Graph, kmin: int, kmax: int,
                     return False
             return False
         for j in range(i, n - left + 1):
-            if walk(j + 1, met | hits_of[j], chosen | 1 << j, left - 1):
+            if walk(j + 1, need & miss_of[j], chosen | 1 << j, left - 1):
                 return True
             if closed_at[j] & need:
                 return False
         return False
 
     for k in range(kmin, kmax + 1):
-        walk(0, 0, 0, k)
+        walk(0, every, 0, k)
         if hits:
             return k, hits
     return None
@@ -283,18 +282,20 @@ def _seal_layout(n: int) -> tuple[list[int], list[int], int, list[int], int]:
 
 
 def _seal_index(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
-    """(hits_of, closed_at, every) for the graph with these neighbourhood masks.
+    """(miss_of, closed_at, every) for the graph with these neighbourhood masks.
 
     Seals are numbered in a fixed layout: bit u is N[u], and bit n + u*n + v
-    is the pair seal {u, v} | (N(u) ^ N(v)) of u < v.  ``hits_of[x]`` holds
-    the seals that contain x: N[x] in the closed part, and in pair block u
-    the v with u in N(x) xor v in N(x), plus v == x and all of x's own block.
-    ``closed_at[i]`` holds the seals with no member above i.
+    is the pair seal {u, v} | (N(u) ^ N(v)) of u < v; ``every`` holds them
+    all.  The seals that contain x are N[x] in the closed part, and in pair
+    block u the v with u in N(x) xor v in N(x), plus v == x and all of x's
+    own block; ``miss_of[x]`` holds the other seals, those x does not meet.
+    ``closed_at[i]`` holds the seals with no member above i: the seals that
+    every vertex above i misses.
     """
     n = len(adj)
     table, shifts, rep, own, every = _seal_layout(n)
     full = (1 << n) - 1
-    hits_of = []
+    miss_of = []
     for x, nbrs in enumerate(adj):
         spread = 0
         rest = nbrs
@@ -302,10 +303,10 @@ def _seal_index(adj: tuple[int, ...]) -> tuple[list[int], list[int], int]:
             spread |= table[rest & 255] << shift
             rest >>= 8
         # both products lie above bit n, where every holds the valid pair bits
-        hits_of.append(nbrs | own[x] | every & ((nbrs * rep) ^ (spread * full)))
+        miss_of.append(every ^ (nbrs | own[x] | every & ((nbrs * rep) ^ (spread * full))))
     closed_at = [0] * n
-    later = 0
+    later = every
     for i in range(n - 1, -1, -1):
-        closed_at[i] = every & ~later
-        later |= hits_of[i]
-    return hits_of, closed_at, every
+        closed_at[i] = later
+        later &= miss_of[i]
+    return miss_of, closed_at, every

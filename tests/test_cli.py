@@ -569,6 +569,12 @@ def test_verify_thm3_runs_without_networkx(capsys, monkeypatch):
     ("parity", ["--max-n", "3"], "the parity suite needs max_n >= 4, got 3"),
     ("parity", ["--trials", "-3"], "trials must be >= 0, got -3"),
     ("thm3", ["--max-n", "0"], "the thm3 suite needs max_n >= 1, got 0"),
+    ("thm3", ["--seed", "5"], "the thm3 suite does not read --seed"),
+    ("thm3", ["--trials", "9"], "the thm3 suite does not read --trials"),
+    ("table1", ["--max-n", "3", "--seed", "5", "--trials", "9"],
+     "the table1 suite does not read --seed"),
+    ("table1", ["--trials", "500"], "the table1 suite does not read --trials"),
+    ("table1", ["--max-n", "7"], "the table1 suite does not read --max-n"),
 ])
 def test_verify_random_suite_out_of_range_is_a_usage_error(capsys, suite, args, message):
     code, out, err = run(capsys, "verify", "--suite", suite, *args)

@@ -170,8 +170,9 @@ def test_any_proven_floor_leaves_the_answer_unchanged():
 
 
 def test_seal_index_is_the_transpose_of_the_seals():
-    """hits_of[x] and closed_at[i] against seal masks built from the definition:
-    seal u is N[u], seal n + u*n + v is {u, v} | (N(u) ^ N(v)) for u < v."""
+    """miss_of[x] and closed_at[i] against seal masks built from the definition:
+    seal u is N[u], seal n + u*n + v is {u, v} | (N(u) ^ N(v)) for u < v, and
+    miss_of[x] holds every seal but those containing x."""
     rng = random.Random(89)
     graphs = [build_graph(0, []), build_graph(1, [])]
     graphs += [build_graph(n, list(combinations(range(n), 2))) for n in range(2, 13)]
@@ -183,9 +184,10 @@ def test_seal_index_is_the_transpose_of_the_seals():
         seals = {u: {u} | adj[u] for u in range(n)}
         seals.update({n + u * n + v: {u, v} | (adj[u] ^ adj[v])
                       for u, v in combinations(range(n), 2)})
-        hits_of, closed_at, every = _seal_index(g.adj)
+        miss_of, closed_at, every = _seal_index(g.adj)
         assert every == sum(1 << b for b in seals)
-        assert hits_of == [sum(1 << b for b, m in seals.items() if x in m) for x in range(n)]
+        assert miss_of == [every ^ sum(1 << b for b, m in seals.items() if x in m)
+                           for x in range(n)]
         assert closed_at == [sum(1 << b for b, m in seals.items() if max(m) <= i)
                              for i in range(n)]
 
@@ -288,8 +290,15 @@ class _ReadLog(list):
 
 
 def _logged(index, log):
-    hits_of, closed_at, every = index
-    return _ReadLog(hits_of, "hits_of", log), _ReadLog(closed_at, "closed_at", log), every
+    seals_of, closed_at, every = index
+    return _ReadLog(seals_of, "seals_of", log), _ReadLog(closed_at, "closed_at", log), every
+
+
+def _hits_form(index):
+    """The seal index with each vertex's missed seals turned into the seals
+    it meets, the form the reference walk reads."""
+    miss_of, closed_at, every = index
+    return [every ^ m for m in miss_of], closed_at, every
 
 
 def test_walk_reads_the_seal_index_as_the_one_call_per_member_walk(monkeypatch):
@@ -315,11 +324,55 @@ def test_walk_reads_the_seal_index_as_the_one_call_per_member_walk(monkeypatch):
                 log.clear()
                 got = ld._solve_connected(g, kmin, kmax, collect)
                 ref_log = []
-                want = reference_walk(g.n, *_logged(seal_index(g.adj), ref_log),
+                want = reference_walk(g.n, *_logged(_hits_form(seal_index(g.adj)), ref_log),
                                       kmin, kmax, collect)
                 assert got == want, (g.adj, kmin, kmax, collect)
                 assert log == ref_log, (g.adj, kmin, kmax, collect)
     assert {2, 3, 4, 5} <= set(lams)
+
+
+def test_seal_index_of_the_complement_flips_only_the_closed_seals():
+    """Complementing keeps every pair seal {u, v} | (N(u) ^ N(v)), since
+    N(u) ^ N(v) gains or loses only u and v, and moves x in or out of every
+    closed seal but its own: miss_bar[x] == miss[x] ^ (full ^ 1 << x), with
+    the same ``every``.  Seeded random graphs with n <= 14, and n = 0 and 1."""
+    rng = random.Random(97)
+    graphs = [build_graph(0, []), build_graph(1, [])]
+    graphs += [random_graph(rng, rng.randint(2, 14), rng.uniform(0.05, 0.95))
+               for _ in range(80)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        miss, _, every = _seal_index(g.adj)
+        miss_bar, _, every_bar = _seal_index(complement(g).adj)
+        assert every_bar == every
+        assert miss_bar == [m ^ (full ^ 1 << x) for x, m in enumerate(miss)]
+
+
+def _random_bipartite(rng, r, s, p):
+    """A seeded random graph with sides range(r) and range(r, r + s)."""
+    return build_graph(r + s, [(a, b) for a in range(r) for b in range(r, r + s)
+                               if rng.random() < p])
+
+
+def test_walk_matches_the_reference_walk_at_workload_sizes():
+    """The walk against the one-call-per-member reference at the orders the
+    benchmark and the census reach: path, cycle and their complements with
+    n = 14..20, and seeded random bipartite graphs with 12 <= n <= 18, each
+    at lambda and refuting lambda - 1, collecting or not."""
+    rng = random.Random(101)
+    graphs = [f(n) for n in range(14, 21) for f in (path, cycle)]
+    graphs += [complement(g) for g in graphs]
+    for _ in range(12):
+        r = rng.randint(3, 8)
+        s = rng.randint(max(r, 12 - r), 18 - r)
+        graphs.append(_random_bipartite(rng, r, s, rng.uniform(0.2, 0.6)))
+    for g in graphs:
+        index = _seal_index(g.adj)
+        lam = lambda_bruteforce(g).lam
+        for k in (lam - 1, lam):
+            for collect in (False, True):
+                want = reference_walk(g.n, *_hits_form(index), k, k, collect)
+                assert ld._solve_connected(g, k, k, collect) == want, (g.adj, k, collect)
 
 
 def test_two_and_three_member_minimums_match_the_naive_oracle():
