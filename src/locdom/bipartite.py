@@ -103,21 +103,6 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     return ConditionTriple(c1, c2, c3, c3_twin)
 
 
-def _least_split(r: int, s: int, ta: int, tb: int, fits) -> int:
-    """The least a + b over ta <= a <= r and tb <= b <= s with ``fits(a, b)``.
-
-    ``fits`` must stay true as a or b grows, so the least b that fits does
-    not grow with a, and one pointer moving down from s serves every a."""
-    best = r + s
-    b = s
-    for a in range(ta, r + 1):
-        if fits(a, b):
-            while b > tb and fits(a, b - 1):
-                b -= 1
-            best = min(best, a + b)
-    return best
-
-
 @lru_cache(maxsize=1024)
 def _side_floors(r: int, s: int, ta: int, tb: int) -> tuple[int, int]:
     """Lower bounds on lambda for a bipartite graph with sides of sizes r and
@@ -149,7 +134,8 @@ def _side_floors(r: int, s: int, ta: int, tb: int) -> tuple[int, int]:
         u_room = (1 << b) - (a == 0)
         return s - b <= w_room and r - a <= u_room and r - a + s - b < w_room + u_room
 
-    return _least_split(r, s, ta, tb, stable), _least_split(r, s, ta, tb, clique)
+    return tuple(min((a + b for a in range(ta, r + 1) for b in range(tb, s + 1) if fits(a, b)),
+                     default=r + s) for fits in (stable, clique))
 
 
 def _repeats(g: Graph, side: VertexSet) -> int:

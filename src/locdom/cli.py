@@ -44,37 +44,14 @@ def _load_graphs(path: str) -> list[Graph]:
     return parse_documents(_read_text(path))
 
 
-def _write_json(obj, fh) -> None:
+def _emit(obj) -> None:
     # json.dump streams the encoder's chunks; json.dumps would hold them all at once
-    json.dump(obj, fh, indent=2)
-    fh.write("\n")
-
-
-def _emit(obj, single: bool) -> None:
-    if single and isinstance(obj, list) and len(obj) == 1:
-        obj = obj[0]
-    _write_json(obj, sys.stdout)
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _vs(v: VertexSet | None):
     return None if v is None else list(v)
-
-
-def _classify_json(rep: ClassificationReport) -> dict:
-    c = rep.conditions
-    return {
-        "r": rep.r,
-        "s": rep.s,
-        "lambda": rep.lambda_g,
-        "lambda_bar": rep.lambda_gbar,
-        "relation": rep.relation,
-        "conditions": {"c1": c.c1, "c2": c.c2, "c3": c.c3,
-                       "c3_twin_form": c.c3_twin_form},
-        "predicted_plus_one": rep.predicted_plus_one,
-        "witness": _vs(rep.witness_g),
-        "witness_bar": _vs(rep.witness_gbar),
-        "partial": rep.partial,
-    }
 
 
 def _parse_vertex_list(text: str) -> VertexSet:
@@ -98,13 +75,21 @@ def cmd_lambda(args) -> int:
         else:
             rep = lambda_bruteforce(g)
             reports.append({"lambda": rep.lam, "witness": _vs(rep.witness)})
-    _emit(reports, single=True)
+    _emit(reports[0] if len(reports) == 1 else reports)
     return 0
 
 
 def cmd_classify(args) -> int:
-    reports = [_classify_json(classify(g)) for g in _load_graphs(args.file)]
-    _emit(reports, single=True)
+    # every report is laid out before anything is written, so an input that
+    # classify refuses writes nothing.  The rows sit at the census entries'
+    # depth (the input holds at least one graph): one report alone drops four
+    # spaces a line, the items of a list two.
+    rows = ["{\n" + _report_json(classify(g)) + "\n    }" for g in _load_graphs(args.file)]
+    if len(rows) == 1:
+        text = rows[0].replace("\n    ", "\n")
+    else:
+        text = ("[\n    " + ",\n    ".join(rows) + "\n  ]").replace("\n  ", "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -139,7 +124,7 @@ def cmd_assoc(args) -> int:
     if args.dot is not None:
         with open(args.dot, "w", encoding="ascii") as fh:
             fh.write(export_dot(ag))
-    _emit(report, single=False)
+    _emit(report)
     return 0
 
 
@@ -178,15 +163,16 @@ def _json_witness(v: VertexSet | None) -> str:
     return _json_list(map(str, v))
 
 
-def _census_row_json(key: str, rep: ClassificationReport, failed: tuple[str, ...]) -> str:
-    """One census entry laid out as ``json.dump(indent=2)`` lays it out in the
-    report's entries list: the row ``{"key": key, **_classify_json(rep), "ok": ok}``
-    with ``ok = not failed``, and ``"failed_checks": failed`` after it when
-    ``failed`` names some checks, without the cost of the pure-Python encoder."""
+def _report_json(rep: ClassificationReport) -> str:
+    """The fields of a classification report, ``"r"`` to ``"partial"``, laid
+    out as ``json.dump(indent=2)`` lays them out in a census entry, without
+    the cost of the pure-Python encoder: one field a line at six spaces, with
+    no braces around them.  A census row wraps them with ``"key"`` first and
+    ``"ok"`` last; ``classify`` wraps them alone and takes the spaces off
+    each line to bring them to its own depth.  The fields hold only ints,
+    bools, null and int lists, so no newline falls inside a value."""
     c = rep.conditions
     return (
-        "{\n"
-        f'      "key": {json.dumps(key)},\n'
         f'      "r": {rep.r},\n'
         f'      "s": {rep.s},\n'
         f'      "lambda": {_json_int(rep.lambda_g)},\n'
@@ -201,11 +187,17 @@ def _census_row_json(key: str, rep: ClassificationReport, failed: tuple[str, ...
         f'      "predicted_plus_one": {_json_bool(rep.predicted_plus_one)},\n'
         f'      "witness": {_json_witness(rep.witness_g)},\n'
         f'      "witness_bar": {_json_witness(rep.witness_gbar)},\n'
-        f'      "partial": {_json_bool(rep.partial)},\n'
-        f'      "ok": {_json_bool(not failed)}'
-        + (f',\n      "failed_checks": {_json_list(map(json.dumps, failed))}' if failed else "")
-        + "\n    }"
+        f'      "partial": {_json_bool(rep.partial)}'
     )
+
+
+def _census_row_json(key: str, rep: ClassificationReport, failed: tuple[str, ...]) -> str:
+    """One census entry as ``json.dump(indent=2)`` lays it out in the report's
+    entries list: ``"key"``, the report's fields (:func:`_report_json`),
+    ``"ok"`` (no check failed), and ``"failed_checks"`` when some did."""
+    checks = f',\n      "failed_checks": {_json_list(map(json.dumps, failed))}' if failed else ""
+    return (f'{{\n      "key": {json.dumps(key)},\n{_report_json(rep)},\n'
+            f'      "ok": {_json_bool(not failed)}{checks}\n    }}')
 
 
 @contextlib.contextmanager
@@ -337,31 +329,33 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     start = time.monotonic()
     reads = {"table1": (), "thm3": ("max_n",)}.get(args.suite, ("seed", "trials", "max_n"))
-    for name in ("seed", "trials", "max_n"):
-        if getattr(args, name) is not None and name not in reads:
+    defaults = {"seed": suites.SEED, "trials": suites.TRIALS,
+                "max_n": suites.ATLAS_MAX_N if args.suite == "thm3" else suites.RANDOM_MAX_N}
+    # an option the suite does not read is refused when given and null in the report
+    params = dict.fromkeys(defaults)
+    for name, default in defaults.items():
+        value = getattr(args, name)
+        if name in reads:
+            params[name] = default if value is None else value
+        elif value is not None:
             raise ValueError(f"the {args.suite} suite does not read --{name.replace('_', '-')}")
-    seed = suites.SEED if args.seed is None else args.seed
-    trials = suites.TRIALS if args.trials is None else args.trials
-    max_n = args.max_n
     if args.suite == "table1":
         checked, bad = suites.table1_suite()
     elif args.suite == "thm3":
-        max_n = suites.ATLAS_MAX_N if max_n is None else max_n
-        checked, bad = suites.thm3_suite(max_n=max_n)
+        checked, bad = suites.thm3_suite(max_n=params["max_n"])
     else:
-        max_n = suites.RANDOM_MAX_N if max_n is None else max_n
         run = suites.parity_suite if args.suite == "parity" else suites.cactus_suite
-        checked, bad = run(seed=seed, trials=trials, max_n=max_n)
+        checked, bad = run(**params)
     report = {
         "schema": SCHEMA,
         "command": ["verify", "--suite", args.suite],
         "suite": args.suite,
-        "params": {"seed": seed, "trials": trials, "max_n": max_n},
+        "params": params,
         "checked": checked,
         "violations": bad,
         "timing": round(time.monotonic() - start, 3) if args.timing else None,
     }
-    _emit(report, single=False)
+    _emit(report)
     return 1 if bad else 0
 
 
