@@ -9,34 +9,35 @@ cactus-shaped objects driving the bipartite lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, VertexSet
 
 
-@dataclass(frozen=True)
-class AssociatedGraph:
+class AssociatedGraph(NamedTuple):
     """Edge-labeled graph on V minus S for a distinguishing set S.
 
     ``edges`` holds (x, y, label) triples with x < y and label in S; an edge
     means the traces of x and y in S differ exactly in {label}.  ``level``
-    maps each vertex to its trace size.
+    maps each vertex to its trace size; the repr leaves it out.
     """
 
     graph: Graph
     s: VertexSet
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
-    level: dict[int, int] = field(repr=False)
+    level: dict[int, int]
     k: int
 
     def trace(self, v: int) -> VertexSet:
         return VertexSet(self.graph.adj[v] & self.s.bits)
 
+    def __repr__(self) -> str:
+        return (f"AssociatedGraph(graph={self.graph!r}, s={self.s!r}, "
+                f"vertices={self.vertices!r}, edges={self.edges!r}, k={self.k!r})")
 
-@dataclass(frozen=True)
-class LabelSubgraph:
+
+class LabelSubgraph(NamedTuple):
     """Subgraph of an associated graph induced by a set of edges.
 
     ``components`` partitions every parent vertex: vertices with no incident
@@ -52,8 +53,7 @@ class LabelSubgraph:
     components: tuple[VertexSet, ...]
 
 
-@dataclass(frozen=True)
-class CactusStats:
+class CactusStats(NamedTuple):
     """Component/cycle accounting of an edge-induced subgraph.
 
     cc and cy are computed on the edge-incident vertices; cy follows the

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .associated import build_associated, label_multiplicity
 from .graphs import (
@@ -30,8 +29,7 @@ from .graphs import (
 from .ld import ORACLE_CAP, lambda_bounded, lambda_bruteforce, ld_codes
 
 
-@dataclass(frozen=True)
-class ConditionTriple:
+class ConditionTriple(NamedTuple):
     """The three characterization conditions plus the twin-form cross-check.
 
     c3 counts edge labels in the U-associated graph; c3_twin_form counts twin
@@ -49,8 +47,7 @@ class ConditionTriple:
         return self.c1 and self.c2 and self.c3
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     r: int
     s: int
     lambda_g: int | None
@@ -461,8 +458,7 @@ def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
 CENSUS_CHECKS = ("equivalence", "twin_form", "cor16", "window", "lemma13")
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """A census graph, its report, and the ``CENSUS_CHECKS`` it fails, in order."""
     traces: tuple[int, ...]
     graph: Graph

@@ -14,8 +14,8 @@ Vertex labelings are fixed so golden values stay stable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bipartite import feasibility_window, graph_from_traces
 from .graphs import Graph, _check_order, build_graph
@@ -23,16 +23,14 @@ from .graphs import Graph, _check_order, build_graph
 KINDS = ("path", "cycle", "star", "complete_bipartite", "bistar", "extremal", "banner")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     kind: str
     n: int | None = None
     r: int | None = None
     s: int | None = None
 
 
-@dataclass(frozen=True)
-class ExtremalWitness:
+class ExtremalWitness(NamedTuple):
     """The bipartite graph G(r, s) with its defining subset structure.
 
     ``w_subsets[i]`` is the subset of {1..r} encoding s-side vertex r+i; an

@@ -66,20 +66,29 @@ def parse_graph6(line: str) -> Graph:
         )
     if len(body) > nbytes:
         raise Graph6Error("trailing garbage after adjacency data", body_off + nbytes)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[idx // 6] >> (5 - idx % 6)) & 1:
-                edges.append((i, j))
-            idx += 1
     if nbytes and body[-1] & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error("nonzero padding bits", body_off + nbytes - 1)
-    return build_graph(n, edges)
+    _check_order(n)
+    # the body as one int, least significant bit first: bit i of column j
+    # (edge ij) is bit j(j - 1)/2 + i; base 8 converts in linear time
+    acc = int("0" + "".join([_GROUP_OCTAL[v] for v in reversed(body)]), 8)
+    rows = [0] * n
+    for j in range(1, n):
+        col = acc & ((1 << j) - 1)
+        acc >>= j
+        rows[j] |= col
+        while col:  # _bits inline
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph(n, tuple(rows))
 
 
-# the graph6 byte of each 6-bit group read least significant bit first
-_GROUP_BYTE = [chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64)]
+# each 6-bit group read least significant bit first: the graph6 byte that
+# encodes it, and the two octal digits that decode it
+_REVERSED = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
+_GROUP_BYTE = [chr(63 + v) for v in _REVERSED]
+_GROUP_OCTAL = [f"{v:02o}" for v in _REVERSED]
 
 
 def to_graph6(g: Graph) -> str:

@@ -4,12 +4,14 @@ Vertices are dense 0-based indices, and every set of them is a bitmask with
 bit v for vertex v.  Adjacency rows are plain int masks, so a trace inside a
 set S is one AND of a row with S's mask.  Every set a public function takes
 or returns is a :class:`VertexSet`, the hashable wrapper around such a mask.
+The records are ``typing.NamedTuple`` classes, so they unpack, index and
+compare like tuples; ``VertexSet`` is a slotted class, because a tuple's
+pickling and ``_replace`` read the ``__iter__`` and ``__len__`` it redefines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 # The largest vertex count accepted.  It is far above any order the exact
@@ -31,11 +33,36 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    """A set of vertex indices stored as a bitmask."""
+    """A set of vertex indices stored as a bitmask.
 
-    bits: int = 0
+    Immutable: assigning or deleting ``bits`` raises AttributeError.  Equal
+    only to a VertexSet with the same bits, and hashed as ``hash((bits,))``,
+    the hash of a one-field record.
+    """
+
+    __slots__ = ("bits",)
+    bits: int
+
+    def __init__(self, bits: int = 0) -> None:
+        _set_bits(self, bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __reduce__(self) -> tuple[type, tuple[int]]:
+        return (VertexSet, (self.bits,))
 
     @classmethod
     def of(cls, items: Iterable[int]) -> "VertexSet":
@@ -90,8 +117,11 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self))}}})"
 
 
-@dataclass(frozen=True)
-class Graph:
+# the slot's own setter, which the refusing __setattr__ does not reach
+_set_bits = VertexSet.bits.__set__
+
+
+class Graph(NamedTuple):
     """Simple undirected graph on vertices 0..n-1.
 
     ``adj[i]`` is the open neighborhood N(i) as an int mask with bit j set
@@ -103,10 +133,13 @@ class Graph:
     adj: tuple[int, ...]
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
         return self.adj[v].bit_count()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j >= 0 and (self.adj[i] >> j) & 1 == 1
+        """True iff ij is an edge; False when either end is not a vertex."""
+        return 0 <= i < self.n and 0 <= j < self.n and (self.adj[i] >> j) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i, row in enumerate(self.adj):
@@ -121,8 +154,7 @@ class Graph:
         return VertexSet((1 << self.n) - 1)
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """Stable sides (U, W) of a connected bipartite graph, with |U| = r <= s = |W|."""
 
     U: VertexSet

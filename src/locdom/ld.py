@@ -37,7 +37,6 @@ than lambda(G) - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -46,8 +45,7 @@ from .graphs import Graph, VertexSet, _bits, connected_components, induced_subgr
 ORACLE_CAP = 20
 
 
-@dataclass(frozen=True)
-class LDReport:
+class LDReport(NamedTuple):
     """Result of an exact minimum LD-set computation.
 
     ``lam`` is the minimum LD-set size and ``witness`` the lexicographically

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -318,8 +317,8 @@ def test_census_entry_checks_pass_on_known_graphs(monkeypatch):
 
     def skewed(g, bp):
         rep = honest(g, bp)
-        conds = dataclasses.replace(rep.conditions, c3_twin_form=not rep.conditions.c3)
-        return dataclasses.replace(rep, conditions=conds, predicted_plus_one=False)
+        conds = rep.conditions._replace(c3_twin_form=not rep.conditions.c3)
+        return rep._replace(conditions=conds, predicted_plus_one=False)
 
     monkeypatch.setattr(bipartite, "_classify", skewed)
     assert check_census_graph(t, g).failed == CENSUS_CHECKS

@@ -54,6 +54,19 @@ def test_graph6_round_trip_random():
         assert parse_graph6(to_graph6(g)) == g
 
 
+def test_graph6_round_trip_across_both_size_headers():
+    """Orders 0 to 70, each at a few densities: the one-byte size header
+    below 63, the four-byte one from 63 on."""
+    rng = random.Random(70)
+    for n in range(71):
+        for p in (0.1, 0.5, 0.9):
+            g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+            line = to_graph6(g)
+            assert line.startswith("~") == (n >= 63)
+            assert parse_graph6(line) == g
+
+
 def test_graph6_matches_networkx_encoding():
     """Random orders up to 15, plus 0, 1 and both sides of the one-byte
     size header's limit at 63."""

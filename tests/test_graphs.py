@@ -226,6 +226,18 @@ def test_induced_subgraph_keeps_order():
     assert sorted(sub.edges()) == [(0, 1)]
 
 
+def test_has_edge_and_degree_refuse_vertices_out_of_range():
+    """A negative vertex does not wrap round to the last rows."""
+    g = build_graph(3, [(0, 2)])
+    assert g.has_edge(0, 2) and g.has_edge(2, 0)
+    for i, j in ((-1, 0), (0, -1), (-3, 0), (3, 0), (0, 3), (-1, -1)):
+        assert g.has_edge(i, j) is False
+    assert [g.degree(v) for v in range(3)] == [1, 0, 1]
+    for v in (-1, -3, 3):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            g.degree(v)
+
+
 def test_delete_vertex():
     sub, old = delete_vertex(path(4), 1)
     assert old == [0, 2, 3]
@@ -239,7 +251,8 @@ def _assert_rows_match(g, nxg):
     assert all(type(row) is int for row in g.adj)
     assert list(g.adj) == [sum(1 << w for w in nxg[v]) for v in range(nxg.number_of_nodes())]
     for i in range(g.n):
-        assert g.has_edge(i, -1) is False
+        assert g.has_edge(i, -1) is False and g.has_edge(-1, i) is False
+        assert g.has_edge(i, g.n) is False and g.has_edge(g.n, i) is False
         assert [g.has_edge(i, j) for j in range(g.n)] == [nxg.has_edge(i, j) for j in range(g.n)]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fnmatch import fnmatch
 from pathlib import Path
@@ -138,7 +137,7 @@ def test_cactus_suite_reports_a_non_cactus(monkeypatch):
     """The cactus check is not vacuous: a wrong verdict shows as violations."""
     real = suites.cactus_stats
     monkeypatch.setattr(suites, "cactus_stats",
-                        lambda ls: dataclasses.replace(real(ls), is_cactus=False))
+                        lambda ls: real(ls)._replace(is_cactus=False))
     checked, bad = cactus_suite(seed=1, trials=20, max_n=10)
     assert checked == 20 and len(bad) == 20
     assert all("not a cactus" in line for line in bad)
