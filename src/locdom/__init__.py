@@ -59,7 +59,6 @@ from .graphs import (
     is_connected,
 )
 from .ld import (
-    BoundedResult,
     LDReport,
     is_distinguishing,
     is_dominating,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, _check_inside
 
 
 class AssociatedGraph(NamedTuple):
@@ -71,8 +71,7 @@ def build_associated(g: Graph, s: VertexSet) -> AssociatedGraph:
 
     Raises ValueError naming one violating pair when s is not distinguishing.
     """
-    if not s.issubset(g.vertices()):
-        raise ValueError("set contains vertices outside the graph")
+    _check_inside(g, s)
     outside = tuple(g.vertices() - s)
     traced = [(v, g.adj[v] & s.bits) for v in outside]
     edges = []

@@ -162,18 +162,15 @@ def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
     # them changes no result
     floor, clique_floor = _side_floors(bp.r, bp.s, _repeats(g, bp.U), _repeats(g, bp.W))
     for h in (g, complement(g)):
-        if g.n <= ORACLE_CAP:
-            rep = lambda_bruteforce(h, floor=floor)
-            sols.append((rep.lam, rep.witness))
-        else:
-            res = lambda_bounded(h, bp.r + 1, floor=floor)
-            if not res.found:
-                return ClassificationReport(bp.r, bp.s, None, None, None, conds,
-                                            predicted, None, None, partial=True)
-            sols.append((res.size, res.witness))
+        rep = (lambda_bruteforce(h, floor=floor) if g.n <= ORACLE_CAP
+               else lambda_bounded(h, bp.r + 1, floor=floor))
+        if rep is None:
+            return ClassificationReport(bp.r, bp.s, None, None, None, conds,
+                                        predicted, None, None, partial=True)
+        sols.append(rep)
         # an LD-set of the complement plus its one undominated vertex is an
         # LD-set of g, so lambda(complement) >= lambda(g) - 1
-        floor = max(sols[0][0] - 1, clique_floor)
+        floor = max(sols[0].lam - 1, clique_floor)
     (lam_g, wit_g), (lam_gb, wit_gb) = sols
     return ClassificationReport(bp.r, bp.s, lam_g, lam_gb, lam_gb - lam_g, conds,
                                 predicted, wit_g, wit_gb)

@@ -65,9 +65,10 @@ def cmd_lambda(args) -> int:
     reports = []
     for g in _load_graphs(args.file):
         if args.bounded is not None:
-            found, size, wit = lambda_bounded(g, args.bounded)
-            reports.append({"bounded": args.bounded, "found": found,
-                            "size": size, "witness": _vs(wit)})
+            rep = lambda_bounded(g, args.bounded)
+            lam, wit = rep or (None, None)
+            reports.append({"bounded": args.bounded, "found": rep is not None,
+                            "size": lam, "witness": _vs(wit)})
         elif args.all_codes:
             codes = ld_codes(g)
             reports.append({"lambda": len(codes[0]), "witness": _vs(codes[0]),
@@ -429,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, suites.AtlasError, CensusError) as exc:
         print(f"locdom: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("locdom: error: out of memory; try a smaller input or bound", file=sys.stderr)
         return 2
 
 

@@ -128,39 +128,33 @@ def extremal(r: int, s: int) -> ExtremalWitness:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a family spec."""
+    """Build the graph described by a family spec.
+
+    Each kind requires the parameters it reads and refuses the others: n
+    for path, cycle and star, r and s for the two-sided kinds, none for
+    banner.
+    """
     kind = spec.kind
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {KINDS}")
-    if kind == "path":
-        return path(_need_n(spec))
-    if kind == "cycle":
-        return cycle(_need_n(spec))
-    if kind == "star":
-        return star(_need_n(spec))
+    reads = () if kind == "banner" else ("n",) if kind in ("path", "cycle", "star") else ("r", "s")
+    for name in ("n", "r", "s"):
+        if (getattr(spec, name) is None) == (name in reads):
+            verb = "requires" if name in reads else "does not read"
+            raise ValueError(f"family {kind!r} {verb} parameter {name}")
     if kind == "banner":
         return banner()
-    r, s = _need_rs(spec)
+    if reads == ("n",):
+        _check_order(spec.n)
+        return {"path": path, "cycle": cycle, "star": star}[kind](spec.n)
+    r, s = spec.r, spec.s
+    # r alone bounds 2**r in the extremal window check, even when s is negative
+    _check_order(max(r, s, r + s))
     if kind == "complete_bipartite":
         return complete_bipartite(r, s)
     if kind == "bistar":
         return bistar(r, s)
     return extremal(r, s).graph
-
-
-def _need_n(spec: FamilySpec) -> int:
-    if spec.n is None:
-        raise ValueError(f"family {spec.kind!r} requires parameter n")
-    _check_order(spec.n)
-    return spec.n
-
-
-def _need_rs(spec: FamilySpec) -> tuple[int, int]:
-    if spec.r is None or spec.s is None:
-        raise ValueError(f"family {spec.kind!r} requires parameters r and s")
-    # r alone bounds 2**r in the extremal window check, even when s is negative
-    _check_order(max(spec.r, spec.s, spec.r + spec.s))
-    return spec.r, spec.s
 
 
 def table1_expected(kind: str, n: int | None = None, r: int | None = None,

@@ -25,6 +25,11 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} exceeds the largest supported order {MAX_ORDER}")
 
 
+def _check_inside(g: Graph, s: VertexSet) -> None:
+    if s.bits >> g.n:
+        raise ValueError("set contains vertices outside the graph")
+
+
 def _bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of mask, ascending."""
     while mask:
@@ -255,6 +260,7 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, list[int]]:
     Returns the subgraph and the list mapping new indices to original ones
     (ascending, so relabeling preserves index order).
     """
+    _check_inside(g, keep)
     old = keep.members()
     pos = {v: i for i, v in enumerate(old)}
     rows = []

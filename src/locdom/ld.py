@@ -2,8 +2,11 @@
 
 A set S is dominating when every vertex outside S has a neighbor in S, and
 distinguishing when the traces N(v) & S are pairwise distinct over v outside
-S.  An LD-set is both.  Every minimum here (:func:`lambda_bruteforce`,
-:func:`ld_codes`, :func:`lambda_bounded`) comes from one exact search.  A
+S.  An LD-set is both.  The predicates refuse a set that holds a vertex
+outside the graph.  Every minimum here (:func:`lambda_bruteforce`,
+:func:`ld_codes`, :func:`lambda_bounded`) comes from one exact search, and
+both lambda functions answer with one record, :class:`LDReport`;
+:func:`lambda_bounded` answers None when no LD-set fits its bound.  A
 connected graph goes straight to the walk; a disconnected one is split, and
 each component is solved on its own.  Sizes are tried upward from a proven
 floor.  For each size a walk picks the next member in increasing order, so
@@ -40,7 +43,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, VertexSet, _bits, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, VertexSet, _bits, _check_inside, connected_components, induced_subgraph, \
+    is_connected
 
 ORACLE_CAP = 20
 
@@ -56,14 +60,9 @@ class LDReport(NamedTuple):
     witness: VertexSet
 
 
-class BoundedResult(NamedTuple):
-    found: bool
-    size: int | None
-    witness: VertexSet | None
-
-
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex outside s has a neighbor in s."""
+    _check_inside(g, s)
     return all(g.adj[v] & s.bits for v in _bits(((1 << g.n) - 1) & ~s.bits))
 
 
@@ -73,6 +72,7 @@ def is_distinguishing(g: Graph, s: VertexSet) -> bool:
     Two undominated outside vertices both carry the empty trace, so they are
     not distinguished.
     """
+    _check_inside(g, s)
     seen = set()
     for v in _bits(((1 << g.n) - 1) & ~s.bits):
         t = g.adj[v] & s.bits
@@ -131,11 +131,10 @@ def ld_codes(g: Graph) -> list[VertexSet]:
     return [VertexSet(c) for c in sorted(codes, key=lambda m: tuple(_bits(m)))]
 
 
-def lambda_bounded(g: Graph, kmax: int, *, floor: int = 0) -> BoundedResult:
-    """Decide whether an LD-set of size <= kmax exists.
+def lambda_bounded(g: Graph, kmax: int, *, floor: int = 0) -> LDReport | None:
+    """The report :func:`lambda_bruteforce` gives when lambda <= kmax, else None.
 
-    When one does, size and witness are those :func:`lambda_bruteforce`
-    reports: the same search, without an order cap, stopped above kmax.
+    It is the same search, without an order cap, stopped above kmax.
     The vertex set is an LD-set, so a kmax above the order asks what kmax =
     n asks.  ``floor`` is a proven lower bound on lambda, as for
     :func:`lambda_bruteforce`.
@@ -143,9 +142,7 @@ def lambda_bounded(g: Graph, kmax: int, *, floor: int = 0) -> BoundedResult:
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     got = _solve(g, min(kmax, g.n), False, floor)
-    if got is None:
-        return BoundedResult(False, None, None)
-    return BoundedResult(True, got[0], VertexSet(got[1][0]))
+    return None if got is None else LDReport(got[0], VertexSet(got[1][0]))
 
 
 def _floor(adj: tuple[int, ...]) -> int:

@@ -132,20 +132,20 @@ def test_c4_extremal_construction():
     for r in (3, 4):
         for s in range(ceil(3 * r / 2 + 1), 2**r):
             g = extremal(r, s).graph
-            found, size, _ = lambda_bounded(g, r + 1)
-            assert found and size == r, (r, s)
-            found, size, _ = lambda_bounded(complement(g), r + 1)
-            assert found and size == r + 1, (r, s)
+            rep = lambda_bounded(g, r + 1)
+            assert rep is not None and rep.lam == r, (r, s)
+            rep = lambda_bounded(complement(g), r + 1)
+            assert rep is not None and rep.lam == r + 1, (r, s)
     # the order-36 instance: the small side is the unique-size optimum and
     # the complement needs exactly one more vertex
     g = extremal(5, 31).graph
     assert g.n == 36
     res = lambda_bounded(g, 5)
-    assert res.found and res.size == 5
+    assert res is not None and res.lam == 5
     assert res.witness == VertexSet.of(range(5))
-    assert not lambda_bounded(g, 4).found
+    assert lambda_bounded(g, 4) is None
     res_bar = lambda_bounded(complement(g), 6)
-    assert res_bar.found and res_bar.size == 6  # so no LD-set of size <= 5 exists there
+    assert res_bar is not None and res_bar.lam == 6  # so no LD-set of size <= 5 exists there
     report("4 extremal construction r in {3,4,5}", start)
 
 

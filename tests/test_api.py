@@ -9,7 +9,7 @@ def test_public_names_are_pinned():
     names = sorted(n for n in dir(locdom) if not n.startswith("_")
                    and not isinstance(getattr(locdom, n), types.ModuleType))
     assert names == [
-        "AssociatedGraph", "Bipartition", "BoundedResult", "CactusStats", "CensusEntry",
+        "AssociatedGraph", "Bipartition", "CactusStats", "CensusEntry",
         "ClassificationReport", "ConditionTriple", "ExtremalWitness", "FamilySpec", "Graph",
         "Graph6Error", "LDReport", "LabelSubgraph", "VertexSet", "banner", "bipartition",
         "bistar", "build_associated", "build_graph", "cactus_stats", "classify", "complement",

@@ -137,6 +137,48 @@ def test_family_bad_parameters(capsys):
     assert code == 2 and "n >= 3" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["banner", "--n", "7"], "n"),
+    (["path", "--n", "5", "--r", "3"], "r"),
+])
+def test_family_refuses_an_option_the_kind_does_not_read(capsys, argv, name):
+    code, out, err = run(capsys, "family", *argv)
+    assert code == 2 and out == ""
+    assert err == f"locdom: error: family {argv[0]!r} does not read parameter {name}\n"
+
+
+def test_out_of_memory_exits_2_with_a_message(tmp_path, capsys, monkeypatch):
+    """A MemoryError, such as the seal index of a long path raises under an
+    address-space limit, ends in exit 2, not in a traceback and exit 1."""
+    from locdom import ld
+
+    def exhausted(adj):
+        raise MemoryError
+
+    monkeypatch.setattr(ld, "_seal_index", exhausted)
+    f = tmp_path / "p7.g6"
+    f.write_text(to_graph6(path(7)) + "\n")
+    code, out, err = run(capsys, "lambda", str(f), "--bounded", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("locdom: error: out of memory") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound, report", [
+    (5, {"bounded": 5, "found": True, "size": 5, "witness": [0, 1, 2, 3, 4]}),
+    (4, {"bounded": 4, "found": False, "size": None, "witness": None}),
+])
+def test_bounded_lambda_report_of_a_disconnected_graph(tmp_path, capsys, bound, report):
+    """The complement of star(6) is K5 plus an isolated vertex, so lambda = 5:
+    the exact --bounded JSON at K = lambda and K = lambda - 1."""
+    from locdom.families import star
+    from locdom.graphs import complement
+    f = tmp_path / "k5k1.g6"
+    f.write_text(to_graph6(complement(star(6))) + "\n")
+    code, out, _ = run(capsys, "lambda", str(f), "--bounded", str(bound))
+    assert code == 0
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
 def test_census_command(tmp_path, capsys):
     out_file = tmp_path / "census.json"
     csv_file = tmp_path / "census.csv"

@@ -34,10 +34,24 @@ def test_generate_rejects_bad_parameters():
         generate(FamilySpec("cycle", n=2))
     with pytest.raises(ValueError, match="requires parameter n"):
         generate(FamilySpec("path"))
+    with pytest.raises(ValueError, match="^family 'bistar' requires parameter s$"):
+        generate(FamilySpec("bistar", r=3))
     with pytest.raises(ValueError, match="unknown family"):
         generate(FamilySpec("wheel", n=5))
     with pytest.raises(ValueError, match=r"feasibility window \[6, 2\^3 - 1\] for r=3"):
         extremal(3, 8)
+
+
+@pytest.mark.parametrize("spec, name", [
+    (FamilySpec("banner", n=7), "n"),
+    (FamilySpec("banner", n=5), "n"),
+    (FamilySpec("path", n=5, r=3), "r"),
+    (FamilySpec("star", n=5, s=3), "s"),
+    (FamilySpec("bistar", n=7, r=3, s=4), "n"),
+])
+def test_generate_refuses_a_parameter_the_kind_does_not_read(spec, name):
+    with pytest.raises(ValueError, match=f"^family {spec.kind!r} does not read parameter {name}$"):
+        generate(spec)
 
 
 def test_extremal_window_message_for_huge_r(capsys):

@@ -6,8 +6,9 @@ import pytest
 from locdom import ld
 from locdom.bipartite import census_pairs, classify, connected_bipartite_graphs
 from locdom.families import complete_bipartite, cycle, path, star
-from locdom.graphs import VertexSet, build_graph, complement, connected_components
+from locdom.graphs import VertexSet, build_graph, complement, connected_components, induced_subgraph
 from locdom.ld import (
+    LDReport,
     _floor,
     _seal_index,
     is_distinguishing,
@@ -66,6 +67,20 @@ def test_undominated_vertex():
         undominated_vertex(complete_bipartite(2, 3), vs(0, 1))
 
 
+@pytest.mark.parametrize("check, members", [
+    (is_dominating, [0, 1, 2, 7]),
+    (is_distinguishing, [0, 1, 2, 7]),
+    (is_ld_set, [0, 1, 2, 7]),
+    (undominated_vertex, [0, 1, 2, 7]),
+    (induced_subgraph, [0, 5]),
+])
+def test_sets_reaching_outside_the_graph_are_refused(check, members):
+    """A set holding a vertex past the order is an error, not a set that the
+    vertices beyond the graph happen to dominate or distinguish."""
+    with pytest.raises(ValueError, match="^set contains vertices outside the graph$"):
+        check(path(3), VertexSet.of(members))
+
+
 def test_undominated_vertex_matches_a_count_of_empty_traces():
     rng = random.Random(149)
     found = {False: 0, True: 0}
@@ -113,17 +128,17 @@ def test_lambda_bounded_above_the_order_asks_what_the_order_asks():
     for g in graphs:
         for extra in (1, 5):
             assert lambda_bounded(g, g.n + extra) == lambda_bounded(g, g.n)
-        assert lambda_bounded(g, g.n).found
+        assert lambda_bounded(g, g.n) is not None
     with pytest.raises(ValueError, match=r"^kmax must be >= 0, got -1$"):
         lambda_bounded(path(4), -1)
 
 
 def test_lambda_bounded_examples():
-    found, size, wit = lambda_bounded(path(7), 3)
-    assert found and size == 3 and is_ld_set(path(7), wit)
-    assert not lambda_bounded(star(5), 2).found
-    found, size, _ = lambda_bounded(complement(path(7)), 3)
-    assert found and size == 3
+    rep = lambda_bounded(path(7), 3)
+    assert rep is not None and rep.lam == 3 and is_ld_set(path(7), rep.witness)
+    assert lambda_bounded(star(5), 2) is None
+    rep = lambda_bounded(complement(path(7)), 3)
+    assert rep is not None and rep.lam == 3
 
 
 def test_floor_is_a_lower_bound():
@@ -222,7 +237,7 @@ def test_lambda_matches_naive_oracle_including_disconnected():
 
 
 def test_lambda_bounded_agrees_with_bruteforce():
-    """Found, size and witness at kmax = lambda-1, lambda, lambda+1 against the naive scan."""
+    """The report, or None, at kmax = lambda-1, lambda, lambda+1 against the naive scan."""
     rng = random.Random(41)
     for _ in range(150):
         n = rng.randint(1, 9)
@@ -231,10 +246,10 @@ def test_lambda_bounded_agrees_with_bruteforce():
         for kmax in (max(0, lam - 1), lam, min(n, lam + 1)):
             res = lambda_bounded(g, kmax)
             if kmax >= lam:
-                assert res.found and res.size == lam
+                assert res is not None and res.lam == lam
                 assert res.witness.members() == wit
             else:
-                assert res == (False, None, None)
+                assert res is None
 
 
 def test_solver_matches_naive_oracle_on_census_graphs():
@@ -247,8 +262,8 @@ def test_solver_matches_naive_oracle_on_census_graphs():
                 lam, wit = naive_lambda(h.n, edges)
                 rep = lambda_bruteforce(h)
                 assert (rep.lam, rep.witness.members()) == (lam, wit)
-                assert lambda_bounded(h, lam) == (True, lam, rep.witness)
-                assert not lambda_bounded(h, lam - 1).found
+                assert lambda_bounded(h, lam) == LDReport(lam, rep.witness)
+                assert lambda_bounded(h, lam - 1) is None
                 assert [c.members() for c in ld_codes(h)] == naive_codes(h.n, edges)
                 checked += 1
     assert checked == 220
@@ -261,8 +276,8 @@ def test_lambda_bounded_on_long_paths_and_cycles(family):
         g = family(n)
         lam = -(-2 * n // 5)
         res = lambda_bounded(g, lam)
-        assert res.found and res.size == lam and is_ld_set(g, res.witness)
-        assert not lambda_bounded(g, lam - 1).found
+        assert res is not None and res.lam == lam and is_ld_set(g, res.witness)
+        assert lambda_bounded(g, lam - 1) is None
 
 
 def test_floors_past_kmax_answer_before_any_seal_index(monkeypatch):
@@ -273,7 +288,7 @@ def test_floors_past_kmax_answer_before_any_seal_index(monkeypatch):
         raise AssertionError("seal index built although a floor exceeds kmax")
 
     monkeypatch.setattr(ld, "_seal_index", refuse)
-    assert lambda_bounded(path(1500), 1) == (False, None, None)
+    assert lambda_bounded(path(1500), 1) is None
     assert classify(star(22)).partial
 
 
@@ -378,7 +393,7 @@ def test_walk_matches_the_reference_walk_at_workload_sizes():
 def test_two_and_three_member_minimums_match_the_naive_oracle():
     """ld_codes and lambda_bounded on seeded random graphs with lambda = 2 or
     3, where collecting walks run the inline two-slot level, against the
-    naive scan: every minimum LD-set, and found, size and witness at
+    naive scan: every minimum LD-set, and the report, or None, at
     kmax = lambda - 1, lambda, lambda + 1."""
     rng = random.Random(47)
     seen = {2: 0, 3: 0}
@@ -391,9 +406,9 @@ def test_two_and_three_member_minimums_match_the_naive_oracle():
             continue
         seen[lam] += 1
         assert [c.members() for c in ld_codes(g)] == naive_codes(n, edges), edges
-        assert lambda_bounded(g, lam - 1) == (False, None, None)
+        assert lambda_bounded(g, lam - 1) is None
         for kmax in range(lam, min(n, lam + 1) + 1):
-            assert lambda_bounded(g, kmax) == (True, lam, VertexSet.of(wit)), edges
+            assert lambda_bounded(g, kmax) == LDReport(lam, VertexSet.of(wit)), edges
 
 
 def test_lambda_bounded_matches_ilp_above_the_cap():
@@ -407,9 +422,9 @@ def test_lambda_bounded_matches_ilp_above_the_cap():
         edges = list(g.edges())
         lam = ilp_lambda(n, edges)
         res = lambda_bounded(g, lam)
-        assert res.found and res.size == lam
+        assert res is not None and res.lam == lam
         assert naive_is_ld(adj_sets(n, edges), set(res.witness.members()))
-        assert not lambda_bounded(g, lam - 1).found
+        assert lambda_bounded(g, lam - 1) is None
 
 
 def test_distinguishing_invariant_under_complement():
