@@ -25,8 +25,6 @@ from .bipartite import (
     run_census,
 )
 from .families import (
-    ExtremalWitness,
-    FamilySpec,
     banner,
     bistar,
     complete_bipartite,

@@ -452,7 +452,7 @@ def connected_bipartite_graphs(r: int, s: int, prefix: tuple[int, ...] = ()
 
 
 # The census checks, in the order a report names the ones that fail.
-CENSUS_CHECKS = ("equivalence", "twin_form", "cor16", "window", "lemma13")
+CENSUS_CHECKS = ("equivalence", "twin_form", "cor16", "window", "lemma13", "gap")
 
 
 class CensusEntry(NamedTuple):
@@ -482,7 +482,8 @@ def check_census_graph(traces: tuple[int, ...], g: Graph) -> CensusEntry:
              conds.c3 == conds.c3_twin_form,
              not plus_one or corollary16_audit(g),
              not plus_one or feasibility_window(r, s),
-             report.relation <= 0 or not _lemma13_fires(bp, report.witness_g))
+             report.relation <= 0 or not _lemma13_fires(bp, report.witness_g),
+             report.relation <= 1)
     return CensusEntry(traces, g, report,
                        tuple(name for name, ok in zip(CENSUS_CHECKS, holds) if not ok))
 

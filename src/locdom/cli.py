@@ -25,7 +25,7 @@ from . import suites
 from .associated import build_associated, cactus_stats, component_trace_check, \
     label_multiplicity, label_subgraph
 from .bipartite import CensusError, ClassificationReport, classify, run_census
-from .families import KINDS, FamilySpec, generate
+from .families import KINDS, generate
 from .graphio import export_dot, parse_documents, to_edge_list, to_graph6
 from .graphs import Graph, VertexSet
 from .ld import lambda_bounded, lambda_bruteforce, ld_codes
@@ -56,9 +56,10 @@ def _vs(v: VertexSet | None):
 
 def _parse_vertex_list(text: str) -> VertexSet:
     try:
-        return VertexSet.of(int(tok) for tok in text.split(",") if tok.strip() != "")
+        items = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"expected comma-separated vertex indices, got {text!r}") from None
+    return VertexSet.of(items)
 
 
 def cmd_lambda(args) -> int:
@@ -130,8 +131,7 @@ def cmd_assoc(args) -> int:
 
 
 def cmd_family(args) -> int:
-    spec = FamilySpec(args.kind, n=args.n, r=args.r, s=args.s)
-    g = generate(spec)
+    g = generate(args.kind, n=args.n, r=args.r, s=args.s)
     if args.emit == "edges":
         sys.stdout.write(to_edge_list(g))
     else:
@@ -302,7 +302,8 @@ def cmd_census(args) -> int:
             rep = e.report
             key = to_graph6(e.graph)
             graphs += 1
-            by_relation[str(rep.relation)] += 1
+            rel = str(rep.relation)
+            by_relation[rel] = by_relation.get(rel, 0) + 1
             if e.failed:
                 counterexamples.append(key)
             out.write(sep + _census_row_json(key, rep, e.failed))

@@ -7,40 +7,20 @@ Vertex labelings are fixed so golden values stay stable:
 * complete_bipartite: side of size r first (0..r-1), then the s side
 * bistar: centers 0 and 1 adjacent; leaves of 0 are 2..r, leaves of 1 the rest
 * banner: cycle 0-1-2-3-0 plus pendant 4 attached to 0
-* extremal: the r-side first (0..r-1); the s side follows the subset list
-  order of :func:`extremal` (full set, single deletions, pair deletions,
-  then extension subsets)
+* extremal: the r-side first (0..r-1); s-side vertex r+i is adjacent to
+  vertex u-1 for each member u of the i-th subset of {1..r} in the list
+  :func:`extremal` builds (full set, single deletions, pair deletions, then
+  extension subsets), so the graph's s-side rows are those subsets
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 from .bipartite import feasibility_window, graph_from_traces
 from .graphs import Graph, _check_order, build_graph
 
 KINDS = ("path", "cycle", "star", "complete_bipartite", "bistar", "extremal", "banner")
-
-
-class FamilySpec(NamedTuple):
-    kind: str
-    n: int | None = None
-    r: int | None = None
-    s: int | None = None
-
-
-class ExtremalWitness(NamedTuple):
-    """The bipartite graph G(r, s) with its defining subset structure.
-
-    ``w_subsets[i]`` is the subset of {1..r} encoding s-side vertex r+i; an
-    r-side vertex u (index u-1) is adjacent to exactly the subsets containing u.
-    """
-
-    r: int
-    s: int
-    w_subsets: tuple[tuple[int, ...], ...]
-    graph: Graph
 
 
 def path(n: int) -> Graph:
@@ -98,7 +78,7 @@ def base_subsets(r: int) -> list[tuple[int, ...]]:
     return subsets
 
 
-def extremal(r: int, s: int) -> ExtremalWitness:
+def extremal(r: int, s: int) -> Graph:
     """Construct G(r, s) for any s in the feasibility window.
 
     Beyond the base subsets, extension subsets are the nonempty subsets of
@@ -124,37 +104,36 @@ def extremal(r: int, s: int) -> ExtremalWitness:
                 have.add(combo)
     assert len(subsets) == s and len(have) == s, "extension subsets must stay distinct"
     traces = [sum(1 << (u - 1) for u in w) for w in subsets]
-    return ExtremalWitness(r, s, tuple(subsets), graph_from_traces(r, traces))
+    return graph_from_traces(r, traces)
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a family spec.
+def generate(kind: str, *, n: int | None = None, r: int | None = None,
+             s: int | None = None) -> Graph:
+    """Build the graph of family ``kind`` with the given parameters.
 
     Each kind requires the parameters it reads and refuses the others: n
     for path, cycle and star, r and s for the two-sided kinds, none for
     banner.
     """
-    kind = spec.kind
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {KINDS}")
     reads = () if kind == "banner" else ("n",) if kind in ("path", "cycle", "star") else ("r", "s")
-    for name in ("n", "r", "s"):
-        if (getattr(spec, name) is None) == (name in reads):
+    for name, value in (("n", n), ("r", r), ("s", s)):
+        if (value is None) == (name in reads):
             verb = "requires" if name in reads else "does not read"
             raise ValueError(f"family {kind!r} {verb} parameter {name}")
     if kind == "banner":
         return banner()
     if reads == ("n",):
-        _check_order(spec.n)
-        return {"path": path, "cycle": cycle, "star": star}[kind](spec.n)
-    r, s = spec.r, spec.s
+        _check_order(n)
+        return {"path": path, "cycle": cycle, "star": star}[kind](n)
     # r alone bounds 2**r in the extremal window check, even when s is negative
     _check_order(max(r, s, r + s))
     if kind == "complete_bipartite":
         return complete_bipartite(r, s)
     if kind == "bistar":
         return bistar(r, s)
-    return extremal(r, s).graph
+    return extremal(r, s)
 
 
 def table1_expected(kind: str, n: int | None = None, r: int | None = None,

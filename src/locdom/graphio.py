@@ -57,6 +57,7 @@ def parse_graph6(line: str) -> Graph:
         for v in vals[2:8]:
             n = (n << 6) | v
         body, body_off = vals[8:], 8
+    _check_order(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) < nbytes:
@@ -68,7 +69,6 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error("trailing garbage after adjacency data", body_off + nbytes)
     if nbytes and body[-1] & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error("nonzero padding bits", body_off + nbytes - 1)
-    _check_order(n)
     # the body as one int, least significant bit first: bit i of column j
     # (edge ij) is bit j(j - 1)/2 + i; base 8 converts in linear time
     acc = int("0" + "".join([_GROUP_OCTAL[v] for v in reversed(body)]), 8)
@@ -135,6 +135,9 @@ def parse_edge_list(text: str) -> Graph:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
+            if header[0] < 0:
+                raise ValueError(f"line {lineno}: vertex count must be nonnegative, "
+                                 f"got {header[0]}")
             _check_order(header[0])
             expect = header[1]
             continue

@@ -125,20 +125,20 @@ def test_c4_extremal_construction():
         lo = ceil(3 * r / 2 + 1)
         for s in range(lo, 2**r):
             assert feasibility_window(r, s)
-            w = extremal(r, s)
+            g = extremal(r, s)
             from locdom.bipartite import condition_triple
-            conds = condition_triple(w.graph, bipartition(w.graph))
+            conds = condition_triple(g, bipartition(g))
             assert conds.all_hold(), (r, s)
     for r in (3, 4):
         for s in range(ceil(3 * r / 2 + 1), 2**r):
-            g = extremal(r, s).graph
+            g = extremal(r, s)
             rep = lambda_bounded(g, r + 1)
             assert rep is not None and rep.lam == r, (r, s)
             rep = lambda_bounded(complement(g), r + 1)
             assert rep is not None and rep.lam == r + 1, (r, s)
     # the order-36 instance: the small side is the unique-size optimum and
     # the complement needs exactly one more vertex
-    g = extremal(5, 31).graph
+    g = extremal(5, 31)
     assert g.n == 36
     res = lambda_bounded(g, 5)
     assert res is not None and res.lam == 5

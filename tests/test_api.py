@@ -10,9 +10,9 @@ def test_public_names_are_pinned():
                    and not isinstance(getattr(locdom, n), types.ModuleType))
     assert names == [
         "AssociatedGraph", "Bipartition", "CactusStats", "CensusEntry",
-        "ClassificationReport", "ConditionTriple", "ExtremalWitness", "FamilySpec", "Graph",
-        "Graph6Error", "LDReport", "LabelSubgraph", "VertexSet", "banner", "bipartition",
-        "bistar", "build_associated", "build_graph", "cactus_stats", "classify", "complement",
+        "ClassificationReport", "ConditionTriple", "Graph", "Graph6Error", "LDReport",
+        "LabelSubgraph", "VertexSet", "banner", "bipartition", "bistar", "build_associated",
+        "build_graph", "cactus_stats", "classify", "complement",
         "complete_bipartite", "component_trace_check", "condition_triple",
         "connected_bipartite_graphs", "connected_components", "corollary16_audit", "cycle",
         "delete_vertex", "edge_induced_subgraph", "export_dot", "extremal",

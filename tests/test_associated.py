@@ -88,9 +88,8 @@ def test_build_associated_names_the_first_equal_pair():
 
 
 def test_label_multiplicity_extremal_3_6():
-    w = extremal(3, 6)
     u = vs(0, 1, 2)
-    counts = label_multiplicity(build_associated(w.graph, u))
+    counts = label_multiplicity(build_associated(extremal(3, 6), u))
     assert counts == {0: 2, 1: 3, 2: 2}
 
 

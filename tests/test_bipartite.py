@@ -27,7 +27,7 @@ from oracles import (_relabeling_maps, bicolored_connected_counts, canonical_mul
 
 
 def test_condition_triple_extremal_3_6():
-    g = extremal(3, 6).graph
+    g = extremal(3, 6)
     conds = condition_triple(g, bipartition(g))
     assert (conds.c1, conds.c2, conds.c3) == (True, True, True)
     assert conds.c3_twin_form is True
@@ -120,7 +120,7 @@ def test_classify_c8():
 
 
 def test_classify_extremal_3_6():
-    rep = classify(extremal(3, 6).graph)
+    rep = classify(extremal(3, 6))
     assert rep.relation == 1
     assert rep.predicted_plus_one
     assert rep.witness_g.members() == (0, 1, 2)
@@ -150,8 +150,8 @@ def test_feasibility_window():
 
 
 def test_corollary16_audit_extremal():
-    assert corollary16_audit(extremal(3, 6).graph)
-    assert corollary16_audit(extremal(3, 7).graph)
+    assert corollary16_audit(extremal(3, 6))
+    assert corollary16_audit(extremal(3, 7))
 
 
 def test_lemma13_audit_examples():
@@ -170,7 +170,7 @@ def test_lemma13_audit_examples():
     tree = graph_from_traces(2, (1, 1, 3))  # U = {0, 1}, W = {2, 3, 4}
     assert VertexSet.of((2, 3, 4)) in ld_codes(tree) and fires(tree, (2, 3, 4))
     assert fires(complete_bipartite(2, 5), (0, 1))
-    ext = extremal(3, 6).graph  # U = {0, 1, 2} is its only minimum LD-set
+    ext = extremal(3, 6)  # U = {0, 1, 2} is its only minimum LD-set
     assert ld_codes(ext) == [VertexSet.of((0, 1, 2))] and not fires(ext, (0, 1, 2))
 
 
@@ -306,7 +306,7 @@ def test_census_entry_checks_pass_on_known_graphs(monkeypatch):
     e2 = check_census_graph(t2, graph_from_traces(3, t2))
     assert e2.failed == () and e2.report.relation <= 0
     # failed checks are named once each, in CENSUS_CHECKS order, whatever fails
-    assert CENSUS_CHECKS == ("equivalence", "twin_form", "cor16", "window", "lemma13")
+    assert CENSUS_CHECKS == ("equivalence", "twin_form", "cor16", "window", "lemma13", "gap")
     monkeypatch.setattr(bipartite, "corollary16_audit", lambda g: False)
     monkeypatch.setattr(bipartite, "feasibility_window", lambda r, s: False)
     monkeypatch.setattr(bipartite, "_lemma13_fires", lambda bp, code: True)
@@ -321,7 +321,19 @@ def test_census_entry_checks_pass_on_known_graphs(monkeypatch):
         return rep._replace(conditions=conds, predicted_plus_one=False)
 
     monkeypatch.setattr(bipartite, "_classify", skewed)
-    assert check_census_graph(t, g).failed == CENSUS_CHECKS
+    assert check_census_graph(t, g).failed == CENSUS_CHECKS[:-1]
+
+
+def test_census_check_flags_a_relation_above_one(monkeypatch):
+    """A relation of +2 where +1 is not predicted passes the other five
+    checks; the gap check alone names it."""
+    t = (1, 2, 3, 5)  # relation 0, lex-first witness U, so Lemma 13 does not fire
+    g = graph_from_traces(3, t)
+    assert check_census_graph(t, g).failed == ()
+    honest = bipartite._classify
+    monkeypatch.setattr(bipartite, "_classify", lambda g, bp: honest(g, bp)._replace(relation=2))
+    e = check_census_graph(t, g)
+    assert not e.report.predicted_plus_one and e.failed == ("gap",)
 
 
 def test_census_check_reads_the_sides_off_its_graph():

@@ -79,7 +79,7 @@ def test_lambda_bounded_and_all_codes_are_exclusive(tmp_path, capsys):
 def test_classify_command(tmp_path, capsys):
     from locdom.families import extremal
     f = tmp_path / "g.g6"
-    f.write_text(to_graph6(extremal(3, 6).graph) + "\n")
+    f.write_text(to_graph6(extremal(3, 6)) + "\n")
     code, out, _ = run(capsys, "classify", str(f))
     rep = json.loads(out)
     assert code == 0
@@ -124,6 +124,24 @@ def test_assoc_rejects_non_distinguishing(tmp_path, capsys):
     code, _, err = run(capsys, "assoc", str(f), "--set", "0,1")
     assert code == 2
     assert "does not distinguish" in err
+
+
+@pytest.mark.parametrize("graphs, argv, message", [
+    ("C~\nA_\n", ["--set", "0"], "assoc expects exactly one input graph"),
+    # a token that is not an int makes a malformed list; an int outside
+    # [0, 65536) keeps VertexSet's range message
+    ("C~\n", ["--set", "0,x"], "expected comma-separated vertex indices, got '0,x'"),
+    ("C~\n", ["--set", "70000"], "vertex index must be in [0, 65536), got 70000"),
+    ("C~\n", ["--set", "0,1,2", "--subgraph", "x"],
+     "expected comma-separated vertex indices, got 'x'"),
+    ("C~\n", ["--set", "0,1,2", "--subgraph", "70000"],
+     "vertex index must be in [0, 65536), got 70000"),
+])
+def test_assoc_input_errors_name_their_fault(tmp_path, capsys, graphs, argv, message):
+    f = tmp_path / "in.g6"
+    f.write_text(graphs)
+    code, out, err = run(capsys, "assoc", str(f), *argv)
+    assert (code, out, err) == (2, "", f"locdom: error: {message}\n")
 
 
 def test_family_emit_edges(capsys):
@@ -285,6 +303,29 @@ def test_census_rows_name_their_failed_checks(capsys, monkeypatch):
     assert rep["summary"]["by_relation"]["1"] == 2
     assert all("failed_checks" not in row for row in rep["entries"] if row["ok"])
     assert list(failing[0])[-2:] == ["ok", "failed_checks"]
+    assert out == json.dumps(rep, indent=2) + "\n"
+
+
+def test_census_counts_a_relation_above_one_under_its_own_key(capsys, monkeypatch):
+    """A +2 row fails the gap check and is counted under key "2", after the
+    three keys every summary holds; the run exits with 1 and no traceback."""
+    honest = bipartite._classify
+
+    def skewed(g, bp):
+        rep = honest(g, bp)
+        return rep._replace(relation=2) if rep.relation == 1 else rep
+
+    monkeypatch.setattr(bipartite, "_classify", skewed)
+    code, out, err = run(capsys, "census", "--max-n", "9", "--jobs", "1")
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    failing = [row for row in rep["entries"] if not row["ok"]]
+    assert len(failing) == 2 and all(row["relation"] == 2 for row in failing)
+    assert [row["failed_checks"] for row in failing] == [["equivalence", "gap"]] * 2
+    assert rep["summary"]["counterexamples"] == [row["key"] for row in failing]
+    by_relation = rep["summary"]["by_relation"]
+    assert list(by_relation) == ["-1", "0", "1", "2"]
+    assert by_relation["1"] == 0 and by_relation["2"] == 2
     assert out == json.dumps(rep, indent=2) + "\n"
 
 
@@ -546,10 +587,15 @@ def test_census_beyond_the_relabeling_tables_is_a_usage_error(capsys, monkeypatc
     (["family", "path", "--n", str(10**12)], "", f"order {10**12} exceeds"),
     (["family", "complete_bipartite", "--r", "3", "--s", str(10**12)], "",
      f"order {10**12 + 3} exceeds"),
-    (["assoc", "-", "--set", str(10**12)], "3 0\n", f"vertex indices, got '{10**12}'"),
+    (["assoc", "-", "--set", str(10**12)], "3 0\n",
+     f"vertex index must be in [0, 65536), got {10**12}"),
+    # the header declares 70,000 vertices; the order is refused before the
+    # missing body is measured
+    (["lambda", "-"], "~PDo\n", "order 70000 exceeds the largest supported order 65536"),
 ])
 def test_huge_order_is_refused_before_allocation(argv, stdin, message):
-    """An order of 10**12 exits 2 with a message, in a child capped at 1 GiB of
+    """An order of 10**12, or of 70,000 in a graph6 header with no body,
+    exits 2 with a message, in a child capped at 1 GiB of
     address space, so a list of that length would end it with MemoryError."""
     import resource
     import subprocess
@@ -761,7 +807,7 @@ def test_lambda_reports_match_their_pinned_digests(tmp_path, capsys):
 def test_classify_reports_match_their_pinned_digests(tmp_path, capsys):
     """classify's reports, one graph and a list of them, byte for byte."""
     from locdom.families import complete_bipartite, extremal
-    extremal36 = extremal(3, 6).graph
+    extremal36 = extremal(3, 6)
     inputs = {
         "census-8": [e.graph for e in run_census(8)] + [path(2), extremal36],
         "K2": [path(2)],
@@ -785,8 +831,8 @@ def test_every_json_report_re_encodes_to_itself(tmp_path, capsys):
     from conftest import trace_gadget
     from locdom.families import complete_bipartite, cycle, extremal
     files = {
-        "one": [extremal(3, 6).graph],
-        "several": [path(2), cycle(4), path(5), extremal(3, 6).graph],
+        "one": [extremal(3, 6)],
+        "several": [path(2), cycle(4), path(5), extremal(3, 6)],
         "partial": [path(5), complete_bipartite(3, 19)],
         "gadget": [trace_gadget()[0]],
     }

@@ -3,7 +3,6 @@ import pytest
 from locdom.bipartite import bipartition, condition_triple
 from locdom.cli import main
 from locdom.families import (
-    FamilySpec,
     banner,
     base_subsets,
     bistar,
@@ -20,38 +19,39 @@ from locdom.ld import lambda_bruteforce
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("path", n=4)) == path(4)
-    assert generate(FamilySpec("cycle", n=5)) == cycle(5)
-    assert generate(FamilySpec("star", n=6)) == star(6)
-    assert generate(FamilySpec("complete_bipartite", r=2, s=3)) == complete_bipartite(2, 3)
-    assert generate(FamilySpec("bistar", r=3, s=4)) == bistar(3, 4)
-    assert generate(FamilySpec("extremal", r=3, s=6)) == extremal(3, 6).graph
-    assert generate(FamilySpec("banner")) == banner()
+    assert generate("path", n=4) == path(4)
+    assert generate("cycle", n=5) == cycle(5)
+    assert generate("star", n=6) == star(6)
+    assert generate("complete_bipartite", r=2, s=3) == complete_bipartite(2, 3)
+    assert generate("bistar", r=3, s=4) == bistar(3, 4)
+    assert generate("extremal", r=3, s=6) == extremal(3, 6)
+    assert generate("banner") == banner()
 
 
 def test_generate_rejects_bad_parameters():
     with pytest.raises(ValueError, match="n >= 3"):
-        generate(FamilySpec("cycle", n=2))
+        generate("cycle", n=2)
     with pytest.raises(ValueError, match="requires parameter n"):
-        generate(FamilySpec("path"))
+        generate("path")
     with pytest.raises(ValueError, match="^family 'bistar' requires parameter s$"):
-        generate(FamilySpec("bistar", r=3))
+        generate("bistar", r=3)
     with pytest.raises(ValueError, match="unknown family"):
-        generate(FamilySpec("wheel", n=5))
+        generate("wheel", n=5)
     with pytest.raises(ValueError, match=r"feasibility window \[6, 2\^3 - 1\] for r=3"):
         extremal(3, 8)
 
 
 @pytest.mark.parametrize("spec, name", [
-    (FamilySpec("banner", n=7), "n"),
-    (FamilySpec("banner", n=5), "n"),
-    (FamilySpec("path", n=5, r=3), "r"),
-    (FamilySpec("star", n=5, s=3), "s"),
-    (FamilySpec("bistar", n=7, r=3, s=4), "n"),
+    ({"kind": "banner", "n": 7}, "n"),
+    ({"kind": "banner", "n": 5}, "n"),
+    ({"kind": "path", "n": 5, "r": 3}, "r"),
+    ({"kind": "star", "n": 5, "s": 3}, "s"),
+    ({"kind": "bistar", "n": 7, "r": 3, "s": 4}, "n"),
 ])
 def test_generate_refuses_a_parameter_the_kind_does_not_read(spec, name):
-    with pytest.raises(ValueError, match=f"^family {spec.kind!r} does not read parameter {name}$"):
-        generate(spec)
+    with pytest.raises(ValueError,
+                       match=f"^family {spec['kind']!r} does not read parameter {name}$"):
+        generate(**spec)
 
 
 def test_extremal_window_message_for_huge_r(capsys):
@@ -78,10 +78,16 @@ def test_banner_shape():
     assert g.has_edge(0, 4)
 
 
+def w_subsets(g, r):
+    """The subsets of {1..r} that G(r, s)'s s-side vertices encode, read off
+    its rows: vertex r + i encodes {u + 1 for each neighbour u}."""
+    return tuple(tuple(u + 1 for u in range(r) if g.adj[w] >> u & 1) for w in range(r, g.n))
+
+
 def test_extremal_base_subsets():
-    assert extremal(3, 6).w_subsets == (
+    assert w_subsets(extremal(3, 6), 3) == (
         (1, 2, 3), (2, 3), (1, 3), (1, 2), (3,), (1,))
-    assert extremal(4, 7).w_subsets == (
+    assert w_subsets(extremal(4, 7), 4) == (
         (1, 2, 3, 4), (2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3), (3, 4), (1, 2))
     assert base_subsets(5) == [
         (1, 2, 3, 4, 5),
@@ -90,31 +96,34 @@ def test_extremal_base_subsets():
 
 
 def test_extremal_extension_rule():
-    w = extremal(3, 7)
-    assert w.w_subsets[:6] == extremal(3, 6).w_subsets
-    assert w.w_subsets[6] == (2,)
+    w = w_subsets(extremal(3, 7), 3)
+    assert w[:6] == w_subsets(extremal(3, 6), 3)
+    assert w[6] == (2,)
 
 
 def test_extremal_5_31_uses_every_subset():
-    w = extremal(5, 31)
-    assert len(w.w_subsets) == 31
-    assert len(set(w.w_subsets)) == 31
+    w = w_subsets(extremal(5, 31), 5)
+    assert len(w) == 31
+    assert len(set(w)) == 31
     from itertools import combinations
     everything = {c for k in range(1, 6) for c in combinations(range(1, 6), k)}
-    assert set(w.w_subsets) == everything
+    assert set(w) == everything
 
 
 def test_extremal_adjacency_rule():
-    w = extremal(4, 7)
-    g = w.graph
-    for wi, subset in enumerate(w.w_subsets):
+    """G(4, 7) is its base subsets: s-side vertex 4 + i is adjacent to
+    exactly the r-side vertices u - 1 for u in the i-th base subset, and the
+    r side holds no edge."""
+    g = extremal(4, 7)
+    for wi, subset in enumerate(base_subsets(4)):
         for u in range(1, 5):
             assert g.has_edge(u - 1, 4 + wi) == (u in subset)
+    assert g.n == 11 and not any(g.adj[u] & 0b1111 for u in range(4))
 
 
 def test_extremal_satisfies_conditions():
     for r, s in ((3, 6), (3, 7), (4, 7), (4, 11), (5, 9)):
-        g = extremal(r, s).graph
+        g = extremal(r, s)
         conds = condition_triple(g, bipartition(g))
         assert conds.all_hold(), (r, s)
 

@@ -28,6 +28,8 @@ def test_parse_graph6_known_strings():
     assert k2.n == 2 and sorted(k2.edges()) == [(0, 1)]
     empty5 = parse_graph6("D??")
     assert empty5.n == 5 and empty5.edge_count() == 0
+    # the eight-byte header '~~' plus six groups may declare a small order
+    assert parse_graph6("~~?????D?{") == parse_graph6("D?{")
 
 
 def test_parse_graph6_header_and_whitespace():
@@ -43,6 +45,14 @@ def test_parse_graph6_errors_carry_offsets():
         parse_graph6("C~~")
     with pytest.raises(Graph6Error, match="empty"):
         parse_graph6("   ")
+    with pytest.raises(Graph6Error,
+                       match=r"^truncated extended size header \(byte offset 2\)$"):
+        parse_graph6("~A")
+    with pytest.raises(Graph6Error, match=r"^truncated long size header \(byte offset 4\)$"):
+        parse_graph6("~~??")
+    # the one bit of K2's single byte is its top bit; the five below pad it
+    with pytest.raises(Graph6Error, match=r"^nonzero padding bits \(byte offset 1\)$"):
+        parse_graph6("A`")
 
 
 def test_graph6_round_trip_random():
@@ -106,6 +116,8 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("3 1\n0 1 2\n")
     with pytest.raises(ValueError, match="expected 2 edges, found 1"):
         parse_edge_list("3 2\n0 1\n")
+    with pytest.raises(ValueError, match="^line 1: vertex count must be nonnegative, got -1$"):
+        parse_edge_list("-1 1\n0 1\n")
 
 
 def test_sniff_and_documents():
