@@ -330,24 +330,17 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
-    reads = {"table1": (), "thm3": ("max_n",)}.get(args.suite, ("seed", "trials", "max_n"))
-    defaults = {"seed": suites.SEED, "trials": suites.TRIALS,
-                "max_n": suites.ATLAS_MAX_N if args.suite == "thm3" else suites.RANDOM_MAX_N}
-    # an option the suite does not read is refused when given and null in the report
-    params = dict.fromkeys(defaults)
-    for name, default in defaults.items():
-        value = getattr(args, name)
-        if name in reads:
-            params[name] = default if value is None else value
+    run = suites.SUITES[args.suite]
+    # the options a suite reads are its keyword-only parameters; any other
+    # is refused when given and null in the report
+    defaults = run.__kwdefaults__ or {}
+    params = {name: getattr(args, name) for name in ("seed", "trials", "max_n")}
+    for name, value in params.items():
+        if name in defaults:
+            params[name] = defaults[name] if value is None else value
         elif value is not None:
             raise ValueError(f"the {args.suite} suite does not read --{name.replace('_', '-')}")
-    if args.suite == "table1":
-        checked, bad = suites.table1_suite()
-    elif args.suite == "thm3":
-        checked, bad = suites.thm3_suite(max_n=params["max_n"])
-    else:
-        run = suites.parity_suite if args.suite == "parity" else suites.cactus_suite
-        checked, bad = run(**params)
+    checked, bad = run(**{name: params[name] for name in defaults})
     report = {
         "schema": SCHEMA,
         "command": ["verify", "--suite", args.suite],
@@ -411,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.set_defaults(func=cmd_census)
 
     ver = sub.add_parser("verify", help="run a property suite; exit 1 on any violation")
-    ver.add_argument("--suite", required=True, choices=["table1", "thm3", "cactus", "parity"])
+    ver.add_argument("--suite", required=True, choices=list(suites.SUITES))
     ver.add_argument("--seed", type=int, default=None,
                      help=f"parity/cactus only (default: {suites.SEED})")
     ver.add_argument("--trials", type=int, default=None,

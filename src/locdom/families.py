@@ -11,16 +11,16 @@ Vertex labelings are fixed so golden values stay stable:
   vertex u-1 for each member u of the i-th subset of {1..r} in the list
   :func:`extremal` builds (full set, single deletions, pair deletions, then
   extension subsets), so the graph's s-side rows are those subsets
+
+:func:`generate` looks each kind's builder and parameters up in one table.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .bipartite import feasibility_window, graph_from_traces
 from .graphs import Graph, _check_order, build_graph
-
-KINDS = ("path", "cycle", "star", "complete_bipartite", "bistar", "extremal", "banner")
 
 
 def path(n: int) -> Graph:
@@ -93,47 +93,43 @@ def extremal(r: int, s: int) -> Graph:
         raise ValueError(f"s={s} outside the feasibility window [{lo}, 2^{r} - 1] for r={r}")
     subsets = base_subsets(r)
     have = set(subsets)
-    for c in range(1, r + 1):
-        if len(subsets) >= s:
-            break
-        for combo in combinations(range(1, r + 1), c):
-            if len(subsets) >= s:
-                break
-            if combo not in have:
-                subsets.append(combo)
-                have.add(combo)
-    assert len(subsets) == s and len(have) == s, "extension subsets must stay distinct"
+    extra = (c for k in range(1, r + 1) for c in combinations(range(1, r + 1), k)
+             if c not in have)
+    subsets += islice(extra, s - len(subsets))
     traces = [sum(1 << (u - 1) for u in w) for w in subsets]
     return graph_from_traces(r, traces)
 
 
+# each kind's builder and the parameters it reads, in the order it takes them
+_FAMILIES = {
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "star": (star, ("n",)),
+    "complete_bipartite": (complete_bipartite, ("r", "s")),
+    "bistar": (bistar, ("r", "s")),
+    "extremal": (extremal, ("r", "s")),
+    "banner": (banner, ()),
+}
+KINDS = tuple(_FAMILIES)
+
+
 def generate(kind: str, *, n: int | None = None, r: int | None = None,
              s: int | None = None) -> Graph:
-    """Build the graph of family ``kind`` with the given parameters.
-
-    Each kind requires the parameters it reads and refuses the others: n
-    for path, cycle and star, r and s for the two-sided kinds, none for
-    banner.
-    """
-    if kind not in KINDS:
+    """Build the graph of family ``kind``, which requires the parameters its
+    ``_FAMILIES`` entry reads and refuses the others."""
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {KINDS}")
-    reads = () if kind == "banner" else ("n",) if kind in ("path", "cycle", "star") else ("r", "s")
-    for name, value in (("n", n), ("r", r), ("s", s)):
+    build, reads = _FAMILIES[kind]
+    given = {"n": n, "r": r, "s": s}
+    for name, value in given.items():
         if (value is None) == (name in reads):
             verb = "requires" if name in reads else "does not read"
             raise ValueError(f"family {kind!r} {verb} parameter {name}")
-    if kind == "banner":
-        return banner()
-    if reads == ("n",):
-        _check_order(n)
-        return {"path": path, "cycle": cycle, "star": star}[kind](n)
-    # r alone bounds 2**r in the extremal window check, even when s is negative
-    _check_order(max(r, s, r + s))
-    if kind == "complete_bipartite":
-        return complete_bipartite(r, s)
-    if kind == "bistar":
-        return bistar(r, s)
-    return extremal(r, s)
+    args = [given[name] for name in reads]
+    # the order, r + s for the two-sided kinds; r alone bounds 2**r in the
+    # extremal window check, even when s is negative
+    _check_order(max([*args, sum(args)]))
+    return build(*args)
 
 
 def table1_expected(kind: str, n: int | None = None, r: int | None = None,

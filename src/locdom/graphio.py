@@ -135,9 +135,10 @@ def parse_edge_list(text: str) -> Graph:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
-            if header[0] < 0:
-                raise ValueError(f"line {lineno}: vertex count must be nonnegative, "
-                                 f"got {header[0]}")
+            for what, count in zip(("vertex", "edge"), header):
+                if count < 0:
+                    raise ValueError(f"line {lineno}: {what} count must be nonnegative, "
+                                     f"got {count}")
             _check_order(header[0])
             expect = header[1]
             continue

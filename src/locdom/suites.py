@@ -2,7 +2,8 @@
 
 Each suite returns (checked, violations); a violation is a human-readable
 string pinpointing the failing instance.  Runs are deterministic for a fixed
-seed and trial count.
+seed and trial count.  SUITES maps each name to its suite, whose options are
+its keyword-only parameters.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .associated import (
     parity_audit,
 )
 from .graphio import parse_graph6, to_graph6
-from .graphs import Graph, VertexSet, build_graph, complement
+from .graphs import Graph, VertexSet, _check_order, build_graph, complement
 from .ld import is_distinguishing, lambda_bruteforce
 from . import families
 
-# the suites' defaults, which the command line reads too; ATLAS_MAX_N is thm3's
+# the suites' defaults; ATLAS_MAX_N is thm3's
 ATLAS_MAX_N = 7
 SEED = 2024
 TRIALS = 500
@@ -105,7 +106,7 @@ def table1_suite() -> tuple[int, list[str]]:
     return checked, bad
 
 
-def thm3_suite(max_n: int = ATLAS_MAX_N) -> tuple[int, list[str]]:
+def thm3_suite(*, max_n: int = ATLAS_MAX_N) -> tuple[int, list[str]]:
     """|lam(G) - lam(complement)| <= 1 over every connected graph with n <= max_n.
 
     Raises ValueError when max_n < 1, which would check no graph."""
@@ -153,6 +154,7 @@ def _check_random_params(suite: str, trials: int, max_n: int, min_n: int) -> Non
         raise ValueError(f"trials must be >= 0, got {trials}")
     if max_n < min_n:
         raise ValueError(f"the {suite} suite needs max_n >= {min_n}, got {max_n}")
+    _check_order(max_n)
 
 
 def _random_instance(rng: random.Random, max_n: int) -> tuple[Graph, VertexSet, AssociatedGraph]:
@@ -162,14 +164,14 @@ def _random_instance(rng: random.Random, max_n: int) -> tuple[Graph, VertexSet, 
     return g, s, build_associated(g, s)
 
 
-def parity_suite(seed: int = SEED, trials: int = TRIALS,
+def parity_suite(*, seed: int = SEED, trials: int = TRIALS,
                  max_n: int = RANDOM_MAX_N) -> tuple[int, list[str]]:
     """Structural properties of associated graphs on random (G, S) instances.
 
     Order, level-parity bipartiteness, incident-label distinctness, cycle
     label parity, equality with the complement's associated graph under level
     reversal, and the component-trace property for a random label subset.
-    Raises ValueError when trials < 0 or max_n < PARITY_MIN_N.
+    Raises ValueError when trials < 0 or max_n is outside [PARITY_MIN_N, MAX_ORDER].
     """
     _check_random_params("parity", trials, max_n, PARITY_MIN_N)
     rng = random.Random(seed)
@@ -252,7 +254,7 @@ def _two_per_label_instance(rng: random.Random, max_n: int):
     return ag, chosen, edge_induced_subgraph(ag, picked)
 
 
-def cactus_suite(seed: int = SEED, trials: int = TRIALS,
+def cactus_suite(*, seed: int = SEED, trials: int = TRIALS,
                  max_n: int = RANDOM_MAX_N) -> tuple[int, list[str]]:
     """Cactus structure and order bounds of two-edges-per-label subgraphs.
 
@@ -262,8 +264,8 @@ def cactus_suite(seed: int = SEED, trials: int = TRIALS,
     same statement as drawing a whole graph and keeping only the instances
     that have a label with two edges.  Also walks a random deletion chain
     from the full associated graph down through the subgraph, checking that
-    |V| - cc never increases.  Raises ValueError when trials < 0 or
-    max_n < CACTUS_MIN_N, below which no label can carry two edges.
+    |V| - cc never increases.  Raises ValueError when trials < 0 or max_n is
+    outside [CACTUS_MIN_N, MAX_ORDER]; below CACTUS_MIN_N no label has two edges.
     """
     _check_random_params("cactus", trials, max_n, CACTUS_MIN_N)
     rng = random.Random(seed)
@@ -301,3 +303,8 @@ def cactus_suite(seed: int = SEED, trials: int = TRIALS,
         if any(a < b for a, b in zip(ranks, ranks[1:])):
             bad.append(f"{tag}: |V| - cc increased along a deletion chain")
     return trials, bad
+
+
+# every suite by name, in the order the command line lists them
+SUITES = {"table1": table1_suite, "thm3": thm3_suite, "cactus": cactus_suite,
+          "parity": parity_suite}

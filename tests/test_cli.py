@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from locdom import bipartite, cli
+from locdom import bipartite, cli, suites
 from locdom.bipartite import ClassificationReport, ConditionTriple, run_census
 from locdom.cli import _census_row_json, main
 from locdom.families import path
@@ -158,6 +158,9 @@ def test_family_bad_parameters(capsys):
 @pytest.mark.parametrize("argv, name", [
     (["banner", "--n", "7"], "n"),
     (["path", "--n", "5", "--r", "3"], "r"),
+    (["banner", "--s", "3"], "s"),
+    (["star", "--n", "5", "--s", "3"], "s"),
+    (["extremal", "--n", "9", "--r", "3", "--s", "6"], "n"),
 ])
 def test_family_refuses_an_option_the_kind_does_not_read(capsys, argv, name):
     code, out, err = run(capsys, "family", *argv)
@@ -691,6 +694,11 @@ def test_verify_thm3_runs_without_networkx(capsys, monkeypatch):
      "the table1 suite does not read --seed"),
     ("table1", ["--trials", "500"], "the table1 suite does not read --trials"),
     ("table1", ["--max-n", "7"], "the table1 suite does not read --max-n"),
+    # refused before a graph of that order is drawn
+    ("parity", ["--max-n", "70000", "--trials", "1"],
+     "order 70000 exceeds the largest supported order 65536"),
+    ("cactus", ["--max-n", "70000", "--trials", "1"],
+     "order 70000 exceeds the largest supported order 65536"),
 ])
 def test_verify_random_suite_out_of_range_is_a_usage_error(capsys, suite, args, message):
     code, out, err = run(capsys, "verify", "--suite", suite, *args)
@@ -711,7 +719,6 @@ def test_timing_adds_wall_time_and_changes_nothing_else(capsys, argv):
 
 
 def test_verify_thm3_on_a_damaged_atlas_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    from locdom import suites
     lines = suites._ATLAS_FILE.read_text(encoding="ascii").splitlines()
     short = tmp_path / "short.g6"
     short.write_text("".join(line + "\n" for line in lines[:500]))
@@ -785,12 +792,27 @@ def _census_digests(capsys, tmp_path, max_n, jobs):
 
 
 def test_reports_match_their_pinned_digests(tmp_path, capsys):
-    """The order-10 census report and CSV, and the four verify reports at
-    their defaults, byte for byte."""
+    """The order-10 census report and CSV, byte for byte."""
     assert _census_digests(capsys, tmp_path, "10", "1") == CENSUS_DIGESTS["10", "1"]
-    for suite, digest in VERIFY_DIGESTS.items():
-        code, out, _ = run(capsys, "verify", "--suite", suite)
-        assert code == 0 and _sha256(out.encode("ascii")) == digest, suite
+
+
+@pytest.mark.parametrize("suite", list(suites.SUITES))
+def test_verify_at_its_defaults_echoes_the_suites_keyword_defaults(capsys, suite):
+    """Each verify report at its defaults, byte for byte.  Its params are the
+    suite's keyword defaults, with null for the options it does not read."""
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0 and _sha256(out.encode("ascii")) == VERIFY_DIGESTS[suite]
+    defaults = suites.SUITES[suite].__kwdefaults__ or {}
+    assert json.loads(out)["params"] == {name: defaults.get(name)
+                                         for name in ("seed", "trials", "max_n")}
+
+
+def test_verify_offers_the_suites_table_in_its_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--suite {" + ",".join(suites.SUITES) + "}" in capsys.readouterr().out
+    assert set(VERIFY_DIGESTS) == set(suites.SUITES)
 
 
 def test_lambda_reports_match_their_pinned_digests(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from locdom.bipartite import bipartition, condition_triple
 from locdom.cli import main
 from locdom.families import (
+    KINDS,
     banner,
     base_subsets,
     bistar,
@@ -41,17 +42,40 @@ def test_generate_rejects_bad_parameters():
         extremal(3, 8)
 
 
+# the parameters each kind reads, in KINDS order, and values that every kind
+# reading them accepts
+READS = {"path": "n", "cycle": "n", "star": "n", "complete_bipartite": "rs",
+         "bistar": "rs", "extremal": "rs", "banner": ""}
+VALUES = {"n": 6, "r": 3, "s": 6}
+
+
+def test_kinds_are_the_families_table_in_order():
+    assert KINDS == tuple(READS)
+
+
 @pytest.mark.parametrize("spec, name", [
     ({"kind": "banner", "n": 7}, "n"),
     ({"kind": "banner", "n": 5}, "n"),
     ({"kind": "path", "n": 5, "r": 3}, "r"),
     ({"kind": "star", "n": 5, "s": 3}, "s"),
     ({"kind": "bistar", "n": 7, "r": 3, "s": 4}, "n"),
+] + [
+    ({"kind": kind, **{p: VALUES[p] for p in reads}, name: VALUES[name]}, name)
+    for kind, reads in READS.items() for name in "nrs" if name not in reads
 ])
 def test_generate_refuses_a_parameter_the_kind_does_not_read(spec, name):
     with pytest.raises(ValueError,
                        match=f"^family {spec['kind']!r} does not read parameter {name}$"):
         generate(**spec)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generate_requires_each_parameter_the_kind_reads(kind):
+    params = {p: VALUES[p] for p in READS[kind]}
+    assert generate(kind, **params).n > 0
+    for name in params:
+        with pytest.raises(ValueError, match=f"^family {kind!r} requires parameter {name}$"):
+            generate(kind, **{p: v for p, v in params.items() if p != name})
 
 
 def test_extremal_window_message_for_huge_r(capsys):

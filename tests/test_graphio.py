@@ -118,6 +118,10 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ValueError, match="^line 1: vertex count must be nonnegative, got -1$"):
         parse_edge_list("-1 1\n0 1\n")
+    # a negative edge count is refused on the header, not counted against
+    for text in ("3 -1\n0 1\n", "3 -1\n"):
+        with pytest.raises(ValueError, match="^line 1: edge count must be nonnegative, got -1$"):
+            parse_edge_list(text)
 
 
 def test_sniff_and_documents():

@@ -151,7 +151,27 @@ def test_random_suites_reject_out_of_range_parameters():
     for suite in (parity_suite, cactus_suite):
         with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
             suite(trials=-3)
+        # refused before a graph of that order is drawn
+        with pytest.raises(ValueError,
+                           match="^order 70000 exceeds the largest supported order 65536$"):
+            suite(trials=1, max_n=70000)
     # the bounds themselves are accepted
     assert cactus_suite(seed=2, trials=30, max_n=6) == (30, [])
     assert parity_suite(seed=2, trials=30, max_n=4) == (30, [])
     assert cactus_suite(trials=0) == parity_suite(trials=0) == (0, [])
+
+
+def test_suites_table_holds_each_suite_with_keyword_only_options():
+    """The command line reads a suite's options and their defaults off its
+    keyword-only parameters, so a suite takes no other parameter."""
+    assert suites.SUITES == {"table1": table1_suite, "thm3": thm3_suite,
+                             "cactus": cactus_suite, "parity": parity_suite}
+    assert list(suites.SUITES) == ["table1", "thm3", "cactus", "parity"]
+    for run in suites.SUITES.values():
+        assert run.__code__.co_argcount == 0
+    assert table1_suite.__kwdefaults__ is None
+    assert thm3_suite.__kwdefaults__ == {"max_n": 7}
+    random_defaults = {"seed": 2024, "trials": 500, "max_n": 14}
+    assert parity_suite.__kwdefaults__ == cactus_suite.__kwdefaults__ == random_defaults
+    with pytest.raises(TypeError):
+        thm3_suite(5)
