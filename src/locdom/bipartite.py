@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Iterator, NamedTuple, Sequence
 
 from .associated import build_associated, label_multiplicity
@@ -100,6 +100,20 @@ def condition_triple(g: Graph, bp: Bipartition) -> ConditionTriple:
     return ConditionTriple(c1, c2, c3, c3_twin)
 
 
+def _stable_fits(r: int, s: int, a: int, b: int) -> bool:
+    """Whether the stable sides of r and s vertices have room for the traces
+    an LD-set with a members in U and b in W leaves outside (see
+    :func:`_side_floors`)."""
+    return s - b < 1 << a and r - a < 1 << b
+
+
+def _clique_fits(r: int, s: int, a: int, b: int) -> bool:
+    """:func:`_stable_fits` for the complement, whose sides are cliques."""
+    w_room = (1 << a) - (b == 0)
+    u_room = (1 << b) - (a == 0)
+    return s - b <= w_room and r - a <= u_room and r - a + s - b < w_room + u_room
+
+
 @lru_cache(maxsize=1024)
 def _side_floors(r: int, s: int, ta: int, tb: int) -> tuple[int, int]:
     """Lower bounds on lambda for a bipartite graph with sides of sizes r and
@@ -123,16 +137,47 @@ def _side_floors(r: int, s: int, ta: int, tb: int) -> tuple[int, int]:
     S, and the classes of U together put their excess over one each, the ta
     rows that repeat an earlier one: a >= ta, and likewise b >= tb.  Each
     floor is the least a + b these counts allow."""
-    def stable(a: int, b: int) -> bool:
-        return s - b < 1 << a and r - a < 1 << b
+    return tuple(min((a + b for a in range(ta, r + 1) for b in range(tb, s + 1)
+                      if fits(r, s, a, b)), default=r + s)
+                 for fits in (_stable_fits, _clique_fits))
 
-    def clique(a: int, b: int) -> bool:
-        w_room = (1 << a) - (b == 0)
-        u_room = (1 << b) - (a == 0)
-        return s - b <= w_room and r - a <= u_room and r - a + s - b < w_room + u_room
 
-    return tuple(min((a + b for a in range(ta, r + 1) for b in range(tb, s + 1) if fits(a, b)),
-                     default=r + s) for fits in (stable, clique))
+def _complement_floor(g: Graph, bp: Bipartition, k: int, ta: int, tb: int,
+                      first: int) -> int:
+    """The least size k' >= k at which some A within U admits an LD-set S of
+    the complement with S & U = A, from the traces the graph's own rows leave
+    open: a lower bound on lambda(complement) whenever k is one.
+
+    With a = |A| and b = k' - a, a vertex w of W - S sees all of S & W in the
+    complement and A - N(w) in U, so W - S needs distinct projections
+    N(w) & A; with P the distinct projections over all of W and d = |P|,
+    s - b <= d.  When b = 0 every vertex of W is outside S, and one that sees
+    all of A in G sees nothing of S in the complement: A is not in P.  U - S
+    is bound by the side counts alone (:func:`_clique_fits`), and the two
+    sides share only the trace A | B, which W reaches through the empty
+    projection: (r - a) + (s - b) <= d + 2^b - [the empty set is in P].  The
+    twin counts ta and tb bound a and b as in :func:`_side_floors`.
+
+    Sizes are tried upward, a is tried only where the side counts fit, and
+    ``first``, a mask within U, is the first A tried at its size."""
+    r, s = bp.r, bp.s
+    rows = [g.adj[w] for w in bp.W]
+    units = [1 << u for u in bp.U]
+    first_a = first.bit_count()
+    # A = U with b = s always fits, so the loop returns by size r + s
+    for size in range(k, r + s + 1):
+        fitting = [a for a in range(max(ta, size - s), min(r, size - tb) + 1)
+                   if _clique_fits(r, s, a, size - a)]
+        for a in sorted(fitting, key=lambda a: a != first_a):
+            b = size - a
+            lead = (first,) if a == first_a else ()
+            for mask in chain(lead, map(sum, combinations(units, a))):
+                proj = {row & mask for row in rows}
+                d = len(proj)
+                if (s - b <= d and (b or mask not in proj)
+                        and r - a + s - b <= d + (1 << b) - (0 in proj)):
+                    return size
+    return k
 
 
 def _repeats(g: Graph, side: VertexSet) -> int:
@@ -160,17 +205,24 @@ def _classify(g: Graph, bp: Bipartition) -> ClassificationReport:
     # the sides and their twins bound both searches from below (see
     # _side_floors); sizes under a proven floor have no LD-set, so skipping
     # them changes no result
-    floor, clique_floor = _side_floors(bp.r, bp.s, _repeats(g, bp.U), _repeats(g, bp.W))
+    ta, tb = _repeats(g, bp.U), _repeats(g, bp.W)
+    floor, clique_floor = _side_floors(bp.r, bp.s, ta, tb)
     for h in (g, complement(g)):
         rep = (lambda_bruteforce(h, floor=floor) if g.n <= ORACLE_CAP
                else lambda_bounded(h, bp.r + 1, floor=floor))
         if rep is None:
             return ClassificationReport(bp.r, bp.s, None, None, None, conds,
                                         predicted, None, None, partial=True)
+        if not sols:
+            # an LD-set of the complement plus its one undominated vertex is
+            # an LD-set of g, so lambda(complement) >= lambda(g) - 1
+            floor = max(rep.lam - 1, clique_floor)
+            if predicted:
+                # the paper predicts lambda(g) + 1, which the per-subset
+                # count reaches on every predicted census graph of order
+                # <= 12; elsewhere it costs more than the sizes it skips
+                floor = _complement_floor(g, bp, floor, ta, tb, rep.witness.bits & bp.U.bits)
         sols.append(rep)
-        # an LD-set of the complement plus its one undominated vertex is an
-        # LD-set of g, so lambda(complement) >= lambda(g) - 1
-        floor = max(sols[0].lam - 1, clique_floor)
     (lam_g, wit_g), (lam_gb, wit_gb) = sols
     return ClassificationReport(bp.r, bp.s, lam_g, lam_gb, lam_gb - lam_g, conds,
                                 predicted, wit_g, wit_gb)

@@ -15,7 +15,8 @@ HEADER = ">>graph6<<"
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; carries the byte offset of the defect."""
+    """Malformed graph6 input; carries the byte offset of the defect, counted
+    from the start of its line as given."""
 
     def __init__(self, message: str, offset: int | None = None):
         self.offset = offset
@@ -24,39 +25,46 @@ class Graph6Error(ValueError):
         super().__init__(message)
 
 
-def _vals(text: str, start: int) -> list[int]:
+def _vals(text: str, lead: int) -> list[int]:
+    """The 6-bit values of ``text``, which starts ``lead`` bytes into its line."""
     vals = []
-    for off in range(start, len(text)):
-        v = ord(text[off]) - 63
+    for off, ch in enumerate(text, lead):
+        v = ord(ch) - 63
         if not 0 <= v <= 63:
-            raise Graph6Error(f"invalid graph6 byte {text[off]!r}", off)
+            raise Graph6Error(f"invalid graph6 byte {ch!r}", off)
         vals.append(v)
     return vals
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line into a graph."""
+    """Decode one graph6 line into a graph.
+
+    Error offsets count from the start of ``line`` as given, before its
+    whitespace and ``>>graph6<<`` header are stripped."""
     text = line.strip()
+    # where text starts in the line
+    lead = len(line) - len(line.lstrip())
     if text.startswith(HEADER):
         text = text[len(HEADER):]
+        lead += len(HEADER)
     if not text:
         raise Graph6Error("empty graph6 input")
-    vals = _vals(text, 0)
+    vals = _vals(text, lead)
     if vals[0] < 63:
         n, body = vals[0], vals[1:]
-        body_off = 1
+        body_off = lead + 1
     elif len(vals) >= 2 and vals[1] < 63:
         if len(vals) < 4:
-            raise Graph6Error("truncated extended size header", len(text))
+            raise Graph6Error("truncated extended size header", lead + len(text))
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body, body_off = vals[4:], 4
+        body, body_off = vals[4:], lead + 4
     else:
         if len(vals) < 8:
-            raise Graph6Error("truncated long size header", len(text))
+            raise Graph6Error("truncated long size header", lead + len(text))
         n = 0
         for v in vals[2:8]:
             n = (n << 6) | v
-        body, body_off = vals[8:], 8
+        body, body_off = vals[8:], lead + 8
     _check_order(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -189,7 +197,17 @@ def parse_documents(text: str) -> list[Graph]:
     """Parse input text into its graphs: one per graph6 line, or the one edge list."""
     if sniff_format(text) == "edge-list":
         return [parse_edge_list(text)]
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    graphs = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                graphs.append(parse_graph6(line))
+            except ValueError as exc:
+                # name the line, as edge-list errors do, keeping the type
+                # and the byte offset
+                exc.args = (f"line {lineno}: {exc}",)
+                raise
+    return graphs
 
 
 def _trace_name(ag: AssociatedGraph, v: int) -> str:

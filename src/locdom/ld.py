@@ -32,10 +32,16 @@ nonempty traces, so (:func:`_floor` takes the largest of the three):
 
 The last two are lambda itself on paths and cycles, ceil(2n/5), and on their
 complements, ceil((2n - 2)/5).  A caller may also pass a floor it has
-proved, and sizes below it are skipped.  :func:`locdom.bipartite._side_floors`
-is that caller: classify counts the traces each side of a bipartite G can
-carry and the members its twins force, and starts the complement no lower
-than lambda(G) - 1.
+proved, and sizes below it are skipped.  :func:`locdom.bipartite.classify`
+is that caller, with two counts.  :func:`locdom.bipartite._side_floors`
+counts the traces each side of a bipartite G can carry and the members its
+twins force, and the complement starts no lower than lambda(G) - 1.  Where
+the paper's conditions predict lambda(complement) = lambda(G) + 1,
+:func:`locdom.bipartite._complement_floor` repeats the count for each part
+A of an LD-set of the complement that lies in the small side, reading the
+distinct projections of the other side's rows on A, and the complement
+starts at the least size some A admits.  On other graphs that count costs
+more than the sizes it skips.
 """
 
 from __future__ import annotations

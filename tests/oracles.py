@@ -107,6 +107,40 @@ def trace_count_floors(r: int, s: int, ta: int = 0, tb: int = 0) -> tuple[int, i
     )
 
 
+def complement_subset_floor(g, side, ta: int = 0, tb: int = 0) -> int:
+    """The least |S| the per-subset trace count allows for an LD-set S of the
+    complement of bipartite ``g``, with U = ``side`` and W the rest, when S
+    holds at least ta vertices of U and tb of W.
+
+    For every A within U and every b it lists, as explicit sets, the traces
+    the vertices of W - S can take in the complement, B plus A - N(w) for w
+    in W, and those U - S can take, A plus any subset of B, with B standing
+    for b anonymous members of W; the empty trace is undominated and is
+    dropped.  A and b are admitted when W - S, U - S and both together fit
+    in their families, as in :func:`trace_count_floors`.
+    """
+    adj = adj_sets(g.n, g.edges())
+    u_side = sorted(side)
+    w_side = [v for v in range(g.n) if v not in u_side]
+    r, s = len(u_side), len(w_side)
+    best = r + s
+    for a in range(ta, r + 1):
+        for members in combinations(u_side, a):
+            chosen = set(members)
+            for b in range(tb, min(s, best - a) + 1):
+                sw = [("w", j) for j in range(b)]
+                w_traces = {frozenset(set(sw) | (chosen - adj[w])) for w in w_side}
+                u_traces = {frozenset(chosen | set(y)) for k in range(b + 1)
+                            for y in combinations(sw, k)}
+                w_traces.discard(frozenset())
+                u_traces.discard(frozenset())
+                if (s - b <= len(w_traces) and r - a <= len(u_traces)
+                        and (r - a) + (s - b) <= len(w_traces | u_traces)):
+                    best = a + b
+                    break
+    return best
+
+
 def twin_excess(g, side) -> int:
     """The number of vertices of ``side`` that an LD-set must hold because of
     twins: the class sizes less one, summed over the classes of vertices of

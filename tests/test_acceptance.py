@@ -11,8 +11,8 @@ from math import ceil
 import pytest
 
 from locdom.associated import build_associated, label_subgraph
-from locdom.bipartite import (CENSUS_CHECKS, bipartition, census_pairs, feasibility_window,
-                              run_census)
+from locdom.bipartite import (CENSUS_CHECKS, bipartition, census_pairs, classify,
+                              feasibility_window, run_census)
 from locdom.families import (
     banner,
     bistar,
@@ -146,7 +146,18 @@ def test_c4_extremal_construction():
     assert lambda_bounded(g, 4) is None
     res_bar = lambda_bounded(complement(g), 6)
     assert res_bar is not None and res_bar.lam == 6  # so no LD-set of size <= 5 exists there
-    report("4 extremal construction r in {3,4,5}", start)
+    # classify, which starts the complement at its per-subset floor, against
+    # the plain walk with no floor: both ends of the window, and order 21,
+    # just above the 20-vertex cap, where the window reaches it (r >= 5)
+    for r in range(3, 8):
+        lo, hi = ceil(3 * r / 2 + 1), 2**r - 1
+        for s in sorted({lo, hi, min(hi, max(lo, 21 - r))}):
+            g = extremal(r, s)
+            rep = classify(g)
+            assert (rep.lambda_g, rep.lambda_gbar, rep.relation, rep.partial) == \
+                (r, r + 1, 1, False), (r, s)
+            assert rep.lambda_gbar == lambda_bounded(complement(g), r + 1).lam, (r, s)
+    report("4 extremal construction r in {3,...,7}", start)
 
 
 def test_c5_associated_graph_properties():

@@ -22,8 +22,8 @@ from locdom.graphs import (Bipartition, VertexSet, bipartition, build_graph, com
 from locdom.ld import lambda_bruteforce, ld_codes
 
 from oracles import (_relabeling_maps, bicolored_connected_counts, canonical_multiset,
-                     filtered_census_traces, ilp_lambda, naive_lambda, orderly_canonical_tuples,
-                     trace_count_floors, twin_excess, twin_pairs)
+                     complement_subset_floor, filtered_census_traces, ilp_lambda, naive_lambda,
+                     orderly_canonical_tuples, trace_count_floors, twin_excess, twin_pairs)
 
 
 def test_condition_triple_extremal_3_6():
@@ -480,11 +480,38 @@ def test_twin_floors_bound_lambda_on_census_graphs():
     assert (tight, raised) == ([568, 561], 250)
 
 
+def _complement_floors(g, r):
+    """The per-subset complement floor of g, with sides U = 0..r-1 and W,
+    and the oracle's, which lists every trace as an explicit set and counts
+    the twin excess by pairwise comparison."""
+    u_side = VertexSet((1 << r) - 1)
+    bp = Bipartition(u_side, g.vertices() - u_side, r, g.n - r)
+    fast = bipartite._complement_floor(g, bp, 0, bipartite._repeats(g, bp.U),
+                                       bipartite._repeats(g, bp.W), 0)
+    slow = complement_subset_floor(g, range(r), twin_excess(g, bp.U), twin_excess(g, bp.W))
+    return fast, slow
+
+
+def test_complement_floor_matches_the_oracle_and_bounds_lambda_on_census_graphs():
+    """Every census graph with n <= 9, predicted or not: the per-subset
+    complement floor equals the oracle's and is at most the naive scan's
+    lambda(complement), which it reaches on most of them."""
+    tight = 0
+    for r, s in census_pairs(9):
+        for _, g in connected_bipartite_graphs(r, s):
+            fast, slow = _complement_floors(g, r)
+            h = complement(g)
+            lam_bar = naive_lambda(h.n, list(h.edges()))[0]
+            assert fast == slow and fast <= lam_bar, (r, s, g.edges())
+            tight += fast == lam_bar
+    assert tight == 741
+
+
 def test_twin_floors_bound_lambda_with_planted_twins():
     """300 seeded connected bipartite graphs, r, s <= 7, made by repeating
     rows and columns of a random biadjacency matrix, so that both sides have
     twins, against the naive scan of G and its complement; classify agrees
-    with the scan."""
+    with the scan, and the per-subset complement floor with its oracle."""
     rng = random.Random(1618)
     checked = 0
     while checked < 300:
@@ -503,9 +530,36 @@ def test_twin_floors_bound_lambda_with_planted_twins():
         assert ta >= r - r0 and tb >= s - s0
         lam, lam_bar = _naive_lambdas(g)
         assert stable <= lam and clique <= lam_bar, (r, s, g.edges())
+        fast, slow = _complement_floors(g, r)
+        assert fast == slow and fast <= lam_bar, (r, s, g.edges())
         rep = classify(g)
         assert (rep.lambda_g, rep.lambda_gbar) == (lam, lam_bar), (r, s, g.edges())
         checked += 1
+
+
+def test_complement_floor_is_lambda_on_predicted_graphs():
+    """The census graphs of order <= 12 where the condition triple predicts
+    +1, 51 of them: the floor equals the ILP oracle's lambda(complement),
+    from any start at or below it, with or without G's U part tried first."""
+    pytest.importorskip("scipy.optimize", reason="the ILP oracle needs scipy's milp")
+    predicted = 0
+    for r, s in census_pairs(12):
+        full = (1 << r) - 1
+        for traces, g in connected_bipartite_graphs(r, s):
+            # c1 and c2 read off the traces, before the triple is built
+            if full not in traces or len(set(traces)) < s:
+                continue
+            bp = Bipartition(VertexSet(full), g.vertices() - VertexSet(full), r, s)
+            if not condition_triple(g, bp).all_hold():
+                continue
+            predicted += 1
+            h = complement(g)
+            lam_bar = ilp_lambda(h.n, list(h.edges()))
+            ta, tb = bipartite._repeats(g, bp.U), bipartite._repeats(g, bp.W)
+            for k in range(lam_bar + 1):
+                for first in (0, full):
+                    assert bipartite._complement_floor(g, bp, k, ta, tb, first) == lam_bar
+    assert predicted == 51
 
 
 def test_side_floors_bound_lambda_on_random_bipartite_graphs():

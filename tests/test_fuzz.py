@@ -78,6 +78,9 @@ def test_parse_graph6_returns_a_graph_or_names_an_offset(text):
         # only an empty line has no byte to point at
         body = text.strip().removeprefix(HEADER)
         assert exc.offset is not None or body == ""
+        # the offset counts from the start of the line as given
+        if str(exc).startswith("invalid graph6 byte"):
+            assert str(exc).startswith(f"invalid graph6 byte {text[exc.offset]!r} ")
     else:
         assert isinstance(g, Graph)
 

@@ -36,6 +36,32 @@ def test_parse_graph6_header_and_whitespace():
     assert parse_graph6(">>graph6<<C~\n").n == 4
 
 
+@pytest.mark.parametrize("line, offset", [
+    (">>graph6<<A!", 11),
+    ("  A!", 3),
+    ("\t>>graph6<<A!\n", 12),
+    (" ~A", 3),
+    (">>graph6<<~~??", 14),
+    ("  C~~", 4),
+    (">>graph6<<A`", 11),
+])
+def test_parse_graph6_offsets_count_from_the_line_as_given(line, offset):
+    """The header and the leading whitespace count toward the offset."""
+    with pytest.raises(Graph6Error, match=rf"\(byte offset {offset}\)$") as info:
+        parse_graph6(line)
+    assert info.value.offset == offset
+
+
+def test_parse_documents_names_the_line():
+    with pytest.raises(Graph6Error, match=r"^line 2: trailing garbage after adjacency data "
+                                          r"\(byte offset 2\)$") as info:
+        parse_documents("A_\nB?o\n")
+    assert info.value.offset == 2
+    # blank lines count; an order refused by the header names its line too
+    with pytest.raises(ValueError, match="^line 3: order 70000 exceeds"):
+        parse_documents("A_\n\n~PDo\n")
+
+
 def test_parse_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error, match="byte offset 1"):
         parse_graph6("C" + chr(30))
